@@ -5,19 +5,27 @@ design argues for: in-bounds index arithmetic, perfectly coalesced
 slab traffic, divergence-free control flow, race-free local-memory
 staging, and batched-execution safety.  Where the property is
 quantitative the analyzer computes the *exact* counters the dynamic
-:class:`~repro.ocl.trace.KernelTrace` would record (on an L2-disabled
-device), so static and dynamic views can be diffed bit-for-bit.
+:class:`~repro.ocl.trace.KernelTrace` would record, so static and
+dynamic views can be diffed bit-for-bit.
+
+One model, one trace predictor and one driver serve every plan kind:
+full CRSD and symmetric half storage (``KernelPlan.kind == "SYM"``).
 
 Entry points: :func:`analyze_plan` / :func:`analyze_matrix` run every
-checker and return an :class:`AnalysisReport`; :func:`build_model` and
-:func:`predict_trace` expose the symbolic model and the trace
-predictor; :func:`required_local_bytes` is the standalone capacity
-probe the autotuner uses.
+checker and return an :class:`AnalysisReport`; :func:`build_model`
+exposes the symbolic model; :func:`predict_trace` is the closed-form
+trace (L2 off) and :func:`synthesize_trace` adds the exact L2 split;
+:func:`required_local_bytes` is the standalone capacity probe the
+autotuner uses; :func:`certify_shard_plan` runs the shard provers.
 """
 
 from repro.analyze.batch_safety import check_batch_safety
 from repro.analyze.bounds import check_bounds
-from repro.analyze.coalescing import check_coalescing, predict_trace
+from repro.analyze.coalescing import (
+    check_coalescing,
+    predict_trace,
+    synthesize_trace,
+)
 from repro.analyze.divergence import check_divergence
 from repro.analyze.driver import analyze_matrix, analyze_plan
 from repro.analyze.localmem import check_localmem, required_local_bytes
@@ -33,12 +41,6 @@ from repro.analyze.report import (
     AnalysisReport,
     Finding,
     KernelAnalysisError,
-)
-from repro.analyze.symmetric import (
-    analyze_sym_matrix,
-    analyze_sym_plan,
-    build_sym_model,
-    predict_trace_l2,
 )
 from repro.analyze.sharding import (
     ShardCertificate,
@@ -59,10 +61,7 @@ __all__ = [
     "ShardCertificate",
     "analyze_matrix",
     "analyze_plan",
-    "analyze_sym_matrix",
-    "analyze_sym_plan",
     "build_model",
-    "build_sym_model",
     "build_shard_subplan",
     "certify_shard_plan",
     "check_batch_safety",
@@ -71,7 +70,7 @@ __all__ = [
     "check_divergence",
     "check_localmem",
     "predict_trace",
-    "predict_trace_l2",
     "required_local_bytes",
     "shard_segment_range",
+    "synthesize_trace",
 ]

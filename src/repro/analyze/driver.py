@@ -1,18 +1,22 @@
 """Analysis driver: one call runs every checker over a kernel plan.
 
 :func:`analyze_plan` is the programmatic entry point (the ``repro
-analyze`` CLI, the strict-mode codegen hook and the autotuner all call
+analyze`` CLI, the strict-mode codegen hooks and the autotuner all call
 it); :func:`analyze_matrix` is the convenience wrapper that starts from
-a built :class:`~repro.core.crsd.CRSDMatrix` and feeds the baked
-scatter index arrays to the model so the indirect accesses and the
-batched-safety prover get exact data.
+a built carrier — a :class:`~repro.core.crsd.CRSDMatrix`, whose baked
+scatter index arrays it feeds to the model so the indirect accesses and
+the batched-safety prover get exact data, or a
+:class:`~repro.core.symcrsd.SymCRSDMatrix`.  Both serve every plan
+kind; the kind picks the model's region builder, the renderers and
+the expected function inventory, nothing else.
 
 Besides the five checkers the driver cross-checks the *renderings*
 against the model (check ``render``): both generated sources must pass
 the structural validators, the OpenCL ``switch`` must carry exactly one
-``case`` per region, the text's ``barrier(CLK_LOCAL_MEM_FENCE)`` count
-must equal the model's barrier count, and the ``__local`` tile
-declaration must be exactly ``max_tile_len`` elements.  A code
+``case`` per region, the text's ``barrier(...)`` count must equal the
+model's barrier count, and the ``__local`` tile declaration must be
+exactly ``max_tile_len`` elements (no ``__local`` at all for plans
+without local memory, which includes every symmetric plan).  A code
 generator drifting from its own plan is caught here before any kernel
 runs.
 """
@@ -20,7 +24,7 @@ runs.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,12 +38,19 @@ from repro.analyze.report import AnalysisReport
 from repro.codegen.opencl_source import generate_opencl_source
 from repro.codegen.plan import KernelPlan, build_plan
 from repro.codegen.python_codelet import emit_python_source
+from repro.codegen.sym_codelet import (
+    build_sym_plan,
+    emit_sym_python_source,
+    expected_sym_functions,
+    generate_sym_opencl_source,
+)
 from repro.codegen.validator import (
     OpenCLSyntaxError,
     PythonCodeletSyntaxError,
     validate_opencl_source,
     validate_python_source,
 )
+from repro.core.symcrsd import SymCRSDMatrix
 from repro.ocl.device import DeviceSpec, TESLA_C2050
 
 
@@ -74,7 +85,15 @@ def analyze_matrix(
     check_render: bool = True,
 ) -> AnalysisReport:
     """Build the plan for ``crsd`` and analyze it with exact scatter
-    index data (the arrays the runner would bake into the buffers)."""
+    index data (the arrays the runner would bake into the buffers).
+
+    A :class:`~repro.core.symcrsd.SymCRSDMatrix` gets its symmetric
+    plan (single vector, no local memory, no scatter rows), so
+    ``use_local_memory`` and ``nvec`` do not apply to it.
+    """
+    if isinstance(crsd, SymCRSDMatrix):
+        return analyze_plan(build_sym_plan(crsd), device=device,
+                            precision=precision, check_render=check_render)
     plan = build_plan(crsd, use_local_memory=use_local_memory, nvec=nvec)
     return analyze_plan(
         plan,
@@ -90,17 +109,28 @@ def analyze_matrix(
 # render cross-check
 # ----------------------------------------------------------------------
 
+def _renderings(plan: KernelPlan,
+                precision: str) -> Tuple[str, str, List[str]]:
+    """(OpenCL text, Python text, expected Python functions) of the
+    code generator serving ``plan``'s kind."""
+    if plan.kind == "SYM":
+        return (generate_sym_opencl_source(plan, precision=precision),
+                emit_sym_python_source(plan),
+                expected_sym_functions(plan))
+    return (generate_opencl_source(plan, precision=precision),
+            emit_python_source(plan), _expected_codelets(plan))
+
+
 def _check_render(model, plan: KernelPlan, precision: str,
                   report: AnalysisReport) -> None:
-    opencl_src = generate_opencl_source(plan, precision=precision)
-    python_src = emit_python_source(plan)
+    opencl_src, python_src, expected = _renderings(plan, precision)
     try:
         validate_opencl_source(opencl_src)
     except OpenCLSyntaxError as exc:
         report.add("render", "error", "opencl rendering",
                    f"structural validation failed: {exc}")
     try:
-        validate_python_source(python_src, expected=_expected_codelets(plan))
+        validate_python_source(python_src, expected=expected)
     except PythonCodeletSyntaxError as exc:
         report.add("render", "error", "python rendering",
                    f"validation failed: {exc}")
@@ -118,12 +148,12 @@ def _check_render(model, plan: KernelPlan, precision: str,
         1 for rm in model.regions for op in rm.opencl_local_ops
         if op.op == "barrier"
     )
-    text_barriers = opencl_src.count("barrier(CLK_LOCAL_MEM_FENCE);")
+    text_barriers = len(re.findall(r"\bbarrier\s*\(", opencl_src))
     if text_barriers != model_barriers:
         report.add(
             "render", "error", "opencl rendering",
-            f"{text_barriers} barrier(CLK_LOCAL_MEM_FENCE) calls emitted "
-            f"but the local-memory model requires {model_barriers} — "
+            f"{text_barriers} barrier() calls emitted but the "
+            f"local-memory model requires {model_barriers} — "
             "barrier placement drifted from the plan",
         )
     decl = re.search(r"__local\s+\w+\s+xtile\[(\d+)\]", opencl_src)
@@ -137,13 +167,13 @@ def _check_render(model, plan: KernelPlan, precision: str,
                 f"xtile declared with {decl.group(1)} elements; plan "
                 f"max_tile_len is {plan.max_tile_len}",
             )
-    elif decl is not None:
+    elif "__local" in opencl_src:
         report.add("render", "error", "opencl rendering",
-                   "__local xtile declared although the plan does not "
+                   "__local memory declared although the plan does not "
                    "use local memory")
 
 
-def _expected_codelets(plan: KernelPlan):
+def _expected_codelets(plan: KernelPlan) -> List[str]:
     names = ["crsd_dia_kernel", "crsd_dia_kernel_batched"]
     for i in range(len(plan.regions)):
         names.append(f"_codelet_p{i}")

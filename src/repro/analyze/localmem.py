@@ -24,12 +24,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analyze.model import KernelModel, LocalOp
+from repro.analyze.model import _REAL_ITEMSIZE, KernelModel, LocalOp
 from repro.analyze.report import AnalysisReport
 from repro.codegen.plan import KernelPlan
 from repro.ocl.device import DeviceSpec, TESLA_C2050
-
-_REAL_ITEMSIZE = {"double": 8, "fp64": 8, "single": 4, "fp32": 4}
 
 
 def required_local_bytes(plan: KernelPlan,

@@ -15,6 +15,13 @@ and an optional lane bound ``lane < lane_bound`` — exactly the masks the
 Python rendering passes to ``gload``/``gstore`` and the OpenCL rendering
 expresses as ``if (xi >= 0 && xi < N)`` predication.
 
+Symmetric half-storage plans (groups of ``kind="SYM"``) are one more
+kind of the same model: the slab buffer is ``sym_val`` and every
+stored run is read twice per segment — the forward term, and the
+mirror term of full offset ``-o`` at ``runbase - o + seg*mrows + lid``
+behind a ``guard_lo = runbase`` predicate.  Both are affine
+unit-lane-stride accesses, so every checker applies unchanged.
+
 Indirect accesses (the scatter kernel's ``x[scatter_colval[...]]``
 gather and ``y[scatter_rowno[...]]`` store) go through constant index
 buffers whose *contents* are baked at build time; when those arrays are
@@ -31,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.codegen.plan import KernelPlan, RegionPlan
+from repro.codegen.sym_codelet import full_offsets
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,21 @@ class GlobalAccess:
     @property
     def guarded(self) -> bool:
         return self.guard_lo is not None or self.guard_hi is not None
+
+    def lane_grid(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(idx, active)``, both ``(nsegs, lanes)``: the element index
+        every lane computes and whether it is active."""
+        segs = np.arange(self.nsegs, dtype=np.int64).reshape(-1, 1)
+        lanes = np.arange(self.lanes, dtype=np.int64)
+        idx = self.base + self.seg_coeff * segs + self.lane_coeff * lanes
+        active = np.ones(idx.shape, dtype=bool)
+        if self.lane_bound is not None:
+            active &= lanes < self.lane_bound
+        if self.guard_lo is not None:
+            active &= idx >= self.guard_lo
+        if self.guard_hi is not None:
+            active &= idx < self.guard_hi
+        return idx, active
 
 
 @dataclass(frozen=True)
@@ -176,6 +199,9 @@ class KernelModel:
 
 _REAL_ITEMSIZE = {"double": 8, "fp64": 8, "single": 4, "fp32": 4}
 
+#: plan kind -> the value slab buffer its codelets read
+SLAB_BUFFERS = {"CRSD": "dia_val", "SYM": "sym_val"}
+
 
 def build_model(
     plan: KernelPlan,
@@ -193,9 +219,9 @@ def build_model(
     isize = _REAL_ITEMSIZE.get(precision.lower())
     if isize is None:
         raise ValueError(f"unknown precision {precision!r}")
-    dia_slots = sum(r.nrs * r.nnz_per_segment for r in plan.regions)
+    slab_slots = sum(r.nrs * r.nnz_per_segment for r in plan.regions)
     sizes = {
-        "dia_val": dia_slots,
+        SLAB_BUFFERS[plan.kind]: slab_slots,
         "x": plan.ncols * plan.nvec,
         "y": plan.nrows * plan.nvec,
         "scatter_colval": plan.scatter.num_rows * plan.scatter.width,
@@ -215,8 +241,9 @@ def build_model(
         lanes=plan.local_size,
         buffer_sizes=sizes,
     )
+    build_region = _build_sym_region if plan.kind == "SYM" else _build_region
     for region in plan.regions:
-        model.regions.append(_build_region(plan, region, isize))
+        model.regions.append(build_region(plan, region))
     if plan.scatter.num_rows:
         model.scatter = _build_scatter(
             plan, isize, index_itemsize, scatter_colval, scatter_rowno
@@ -229,8 +256,7 @@ def build_model(
 # statement (the emitted masks/clips become guards here)
 # ----------------------------------------------------------------------
 
-def _build_region(plan: KernelPlan, region: RegionPlan,
-                  isize: int) -> RegionModel:
+def _build_region(plan: KernelPlan, region: RegionPlan) -> RegionModel:
     m = region.mrows
     rm = RegionModel(region=region, y_row_base=region.start_row)
     shared_written = False  # OpenCL xtile already used by an earlier AD group
@@ -336,6 +362,54 @@ def _build_region(plan: KernelPlan, region: RegionPlan,
             label=f"region {region.index} y store"
             + (f" [vec {j}]" if plan.nvec > 1 else ""),
         ))
+    return rm
+
+
+def _build_sym_region(plan: KernelPlan, region: RegionPlan) -> RegionModel:
+    """Symmetric codelet — mirrors ``codegen.sym_codelet`` term for
+    term: full offsets ascending, each reading the stored run of
+    ``|off|`` (directly, or the partner row's slot for a mirror)."""
+    m = region.mrows
+    run = region.nrs * m
+    stored = region.groups[0].offsets
+    rm = RegionModel(region=region, y_row_base=region.start_row)
+    glabel = f"region {region.index} SYM group"
+    for off in full_offsets(stored):
+        o = abs(off)
+        runbase = region.slab_base + stored.index(o) * run
+        if off >= 0:
+            rm.accesses.append(GlobalAccess(
+                buffer="sym_val", kind="load",
+                base=runbase, seg_coeff=m, lane_coeff=1,
+                nsegs=region.nrs, lanes=m,
+                label=f"{glabel} sym_val[stored +{off}]",
+            ))
+        else:
+            # the transpose read: the partner row's stored slot,
+            # guarded below by the run base (rows before SR have no
+            # partner in this region — the build declined those)
+            rm.accesses.append(GlobalAccess(
+                buffer="sym_val", kind="load",
+                base=runbase - o, seg_coeff=m, lane_coeff=1,
+                nsegs=region.nrs, lanes=m,
+                guard_lo=runbase,
+                label=f"{glabel} sym_val[mirror {off}]",
+            ))
+        rm.accesses.append(GlobalAccess(
+            buffer="x", kind="load",
+            base=region.start_row + off, seg_coeff=m, lane_coeff=1,
+            nsegs=region.nrs, lanes=m,
+            guard_lo=0, guard_hi=plan.ncols,
+            label=f"{glabel} x[off={off}]",
+        ))
+        rm.flops_per_group += 2 * m
+    rm.accesses.append(GlobalAccess(
+        buffer="y", kind="store",
+        base=region.start_row, seg_coeff=m, lane_coeff=1,
+        nsegs=region.nrs, lanes=m,
+        guard_hi=plan.nrows,
+        label=f"region {region.index} y store",
+    ))
     return rm
 
 

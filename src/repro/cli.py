@@ -230,7 +230,7 @@ def _analyze_sym(args, coo, crsd, name: str) -> int:
     codelets (requires an exactly symmetric, scatter-free matrix)."""
     import json
 
-    from repro.analyze.symmetric import analyze_sym_matrix
+    from repro.analyze import analyze_matrix
     from repro.core.symcrsd import SymCRSDError, SymCRSDMatrix
 
     if args.shards is not None or args.nvec != 1:
@@ -242,7 +242,7 @@ def _analyze_sym(args, coo, crsd, name: str) -> int:
     except SymCRSDError as exc:
         print(f"error: {name}: {exc}", file=sys.stderr)
         return 2
-    report = analyze_sym_matrix(sym, precision=args.precision)
+    report = analyze_matrix(sym, precision=args.precision)
     if args.json:
         payload = report.to_dict()
         payload["matrix"] = name

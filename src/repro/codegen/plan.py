@@ -23,7 +23,9 @@ class GroupPlan:
     Attributes
     ----------
     kind:
-        "AD" or "NAD".
+        "AD" or "NAD" for full CRSD groups; "SYM" for the single
+        group of a half-storage symmetric region
+        (:func:`~repro.codegen.sym_codelet.build_sym_plan`).
     d_first:
         Storage position of the group's first diagonal within the
         region (the ``d`` of the paper's location formula).
@@ -114,6 +116,13 @@ class KernelPlan:
     scatter: ScatterPlan
     use_local_memory: bool
     nvec: int = 1
+
+    @property
+    def kind(self) -> str:
+        """``"SYM"`` for a half-storage symmetric plan, else ``"CRSD"``."""
+        if any(g.kind == "SYM" for r in self.regions for g in r.groups):
+            return "SYM"
+        return "CRSD"
 
     @property
     def num_groups(self) -> int:

@@ -36,7 +36,7 @@ class SymCrsdSpMV(GPUSpMV):
     matrix:
         The symmetric half carrier.
     strict:
-        Run the symmetric analyzer over the plan before compiling;
+        Run the analyzer over the plan before compiling;
         raises :class:`~repro.analyze.report.KernelAnalysisError` on
         any violation.
     """
@@ -50,11 +50,11 @@ class SymCrsdSpMV(GPUSpMV):
         self.matrix = matrix
         self.plan = build_sym_plan(matrix)
         if strict:
+            from repro.analyze.driver import analyze_plan
             from repro.analyze.report import KernelAnalysisError
-            from repro.analyze.symmetric import analyze_sym_plan
 
-            report = analyze_sym_plan(self.plan, device=self.device,
-                                      precision=self.precision)
+            report = analyze_plan(self.plan, device=self.device,
+                                  precision=self.precision)
             if not report.ok:
                 raise KernelAnalysisError(report)
         self.kernel = generate_sym_python_kernel(self.plan)

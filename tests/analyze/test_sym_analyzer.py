@@ -4,11 +4,7 @@ symmetric generator set, with every checker actually exercised."""
 import numpy as np
 import pytest
 
-from repro.analyze.symmetric import (
-    analyze_sym_matrix,
-    analyze_sym_plan,
-    build_sym_model,
-)
+from repro.analyze import analyze_matrix, analyze_plan, build_model
 from repro.codegen.sym_codelet import build_sym_plan
 from repro.core.symcrsd import SymCRSDMatrix
 from repro.matrices import generators as gen
@@ -31,7 +27,7 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_certification_green(case, nprng):
     sym = SymCRSDMatrix.from_coo(CASES[case](nprng), mrows=32)
-    report = analyze_sym_matrix(sym)
+    report = analyze_matrix(sym)
     assert report.exit_code == 0, [f.message for f in report.findings]
     assert not report.findings
 
@@ -40,7 +36,7 @@ def test_certification_green(case, nprng):
 def test_certification_both_precisions(precision, nprng):
     sym = SymCRSDMatrix.from_coo(gen.symmetric_banded(256, 4, nprng),
                                  mrows=32, wavefront_size=32)
-    report = analyze_sym_matrix(sym, precision=precision)
+    report = analyze_matrix(sym, precision=precision)
     assert report.exit_code == 0
 
 
@@ -50,7 +46,7 @@ def test_model_shape(nprng):
     sym = SymCRSDMatrix.from_coo(gen.symmetric_banded(256, 3, nprng),
                                  mrows=32)
     plan = build_sym_plan(sym)
-    model = build_sym_model(plan)
+    model = build_model(plan)
     assert model.buffer_sizes["sym_val"] == sym.stored_elements
     assert model.buffer_sizes["x"] == sym.ncols
     assert model.buffer_sizes["y"] == sym.nrows
@@ -63,7 +59,68 @@ def test_render_check_runs(nprng):
     sym = SymCRSDMatrix.from_coo(gen.symmetric_banded(128, 2, nprng),
                                  mrows=32)
     plan = build_sym_plan(sym)
-    with_render = analyze_sym_plan(plan, check_render=True)
-    without = analyze_sym_plan(plan, check_render=False)
+    with_render = analyze_plan(plan, check_render=True)
+    without = analyze_plan(plan, check_render=False)
     assert with_render.exit_code == 0
     assert without.exit_code == 0
+
+
+def test_analyze_plan_models_mirror_reads(nprng):
+    """The unified driver on a symmetric plan reasons over sym_val —
+    forward runs unguarded, every mirror read guarded below by its
+    run base — and never over a full-slab dia_val."""
+    sym = SymCRSDMatrix.from_coo(gen.symmetric_banded(256, 3, nprng),
+                                 mrows=32)
+    plan = build_sym_plan(sym)
+    assert plan.kind == "SYM"
+    model = build_model(plan)
+    assert "dia_val" not in model.buffer_sizes
+    for rm in model.regions:
+        stored = rm.region.groups[0].offsets
+        slab = [a for a in rm.accesses if a.buffer == "sym_val"]
+        forward = [a for a in slab if not a.guarded]
+        mirror = [a for a in slab if a.guard_lo is not None]
+        assert len(forward) == len(stored)
+        assert len(mirror) == sum(1 for o in stored if o > 0)
+        assert all(a.base < a.guard_lo and a.guard_hi is None
+                   for a in mirror)
+    report = analyze_plan(plan)
+    assert report.ok
+    assert report.predicted is not None
+    assert report.predicted.flops == sum(
+        rm.flops_per_group * rm.region.nrs for rm in model.regions)
+
+
+def _inject(monkeypatch, edit):
+    """Route the driver's symmetric OpenCL emitter through ``edit``."""
+    import repro.analyze.driver as driver
+
+    original = driver.generate_sym_opencl_source
+    monkeypatch.setattr(
+        driver, "generate_sym_opencl_source",
+        lambda plan, precision="double": edit(original(plan, precision)))
+
+
+#: drift -> (source edit, phrase the render finding must carry)
+RENDER_DRIFT = {
+    "barrier": (lambda src: src.replace(
+        "        {\n", "        barrier(CLK_LOCAL_MEM_FENCE);\n        {\n", 1),
+        "barrier"),
+    "local": (lambda src: src.replace(
+        "    int row;\n", "    __local double scratch[4];\n    int row;\n", 1),
+        "__local"),
+    "case": (lambda src: src.replace("case 0:", "", 1), "case labels"),
+}
+
+
+@pytest.mark.parametrize("drift", sorted(RENDER_DRIFT))
+def test_render_drift_is_caught(drift, monkeypatch, nprng):
+    sym = SymCRSDMatrix.from_coo(gen.symmetric_banded(128, 2, nprng),
+                                 mrows=32)
+    plan = build_sym_plan(sym)
+    edit, phrase = RENDER_DRIFT[drift]
+    _inject(monkeypatch, edit)
+    report = analyze_plan(plan)
+    render = [f.message for f in report.violations if f.check == "render"]
+    assert any(phrase in m for m in render), render
+    assert report.exit_code == 1

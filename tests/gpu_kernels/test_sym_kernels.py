@@ -9,7 +9,7 @@ closed-form L2 prediction must equal the dynamic trace *exactly*.
 import numpy as np
 import pytest
 
-from repro.analyze.symmetric import build_sym_model, predict_trace_l2
+from repro.analyze import build_model, synthesize_trace
 from repro.codegen.sym_codelet import build_sym_plan
 from repro.core.crsd import CRSDMatrix
 from repro.core.symcrsd import SymCRSDMatrix
@@ -95,8 +95,8 @@ def test_static_l2_prediction_exact(case, nprng):
     _, sym = build_pair(coo)
     x = nprng.standard_normal(coo.shape[1])
     dyn = SymCrsdSpMV(sym).run(x).trace
-    model = build_sym_model(build_sym_plan(sym))
-    pred = predict_trace_l2(model, TESLA_C2050)
+    model = build_model(build_sym_plan(sym))
+    pred = synthesize_trace(model, TESLA_C2050)
     assert pred is not None
     assert pred.global_load_transactions == dyn.global_load_transactions
     assert pred.global_store_transactions == dyn.global_store_transactions
@@ -117,3 +117,18 @@ def test_opencl_source_renders(nprng):
     _, sym = build_pair(coo)
     src = SymCrsdSpMV(sym).opencl_source
     assert "__kernel" in src and "sym" in src
+
+
+def test_fused_certification_declines_sym_plans(nprng):
+    """The fused kernel lowers only forward terms; a symmetric plan
+    must be declined by name, never certified over a half slab."""
+    from repro.gpu_kernels.fused import build_fused_state, certify_plan
+
+    _, sym = build_pair(gen.symmetric_banded(256, 4, nprng))
+    plan = build_sym_plan(sym)
+    cert = certify_plan(plan, TESLA_C2050, "double")
+    assert not cert.ok
+    assert any("SYM" in r and "fused" in r for r in cert.reasons), \
+        cert.reasons
+    state, _ = build_fused_state(plan, TESLA_C2050, "double")
+    assert state is None
