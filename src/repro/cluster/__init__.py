@@ -17,7 +17,6 @@ straggling and rejoin.  See ``docs/SERVING.md`` and
 from repro.cluster.engine import (
     ClusterEngine,
     ClusterEvent,
-    DeviceLoss,
     SimDevice,
 )
 from repro.cluster.halo import HaloExchange, shard_halo_elements
@@ -33,7 +32,6 @@ __all__ = [
     "ClusterError",
     "ClusterEvent",
     "ClusterRouter",
-    "DeviceLoss",
     "HaloExchange",
     "HedgePolicy",
     "ResilienceStats",

@@ -83,19 +83,7 @@ from repro.serve.cache import PlanCache, ShardCertificateStore
 from repro.serve.clock import FOREVER
 from repro.serve.engine import ServedResult, ServeEngine
 
-__all__ = ["ClusterEngine", "ClusterEvent", "DeviceLoss", "SimDevice"]
-
-
-@dataclass
-class DeviceLoss:
-    """A scheduled simulated device loss (kept for back-compat; the
-    engine now schedules every chaos action as a
-    :class:`ClusterEvent`)."""
-
-    device: int
-    at_s: float
-    kind: str = "device_oom"
-    applied: bool = False
+__all__ = ["ClusterEngine", "ClusterEvent", "SimDevice"]
 
 
 #: recognised scheduled-event actions, in no particular order —

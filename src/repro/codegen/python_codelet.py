@@ -112,7 +112,7 @@ def generate_python_kernel(plan: KernelPlan,
     reports a violation — no kernel with a provable defect compiles.
     """
     src = emit_python_source(plan)
-    validate_python_source(src, expected=_expected_functions(plan))
+    tree = validate_python_source(src, expected=_expected_functions(plan)).tree
     if strict:
         # local import: repro.analyze itself analyzes this module's output
         from repro.analyze.driver import analyze_plan
@@ -122,7 +122,7 @@ def generate_python_kernel(plan: KernelPlan,
         if not report.ok:
             raise KernelAnalysisError(report)
     namespace: dict = {"np": np, "bisect_right": __import__("bisect").bisect_right}
-    exec(compile(src, "<crsd-generated-kernel>", "exec"), namespace)
+    exec(compile(tree, "<crsd-generated-kernel>", "exec"), namespace)
     return CompiledKernel(
         plan=plan,
         source=src,

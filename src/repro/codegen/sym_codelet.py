@@ -112,9 +112,10 @@ def expected_sym_functions(plan: KernelPlan) -> List[str]:
 def generate_sym_python_kernel(plan: KernelPlan) -> CompiledSymKernel:
     """Emit, validate and compile the Python rendering for ``plan``."""
     src = emit_sym_python_source(plan)
-    validate_python_source(src, expected=expected_sym_functions(plan))
+    tree = validate_python_source(
+        src, expected=expected_sym_functions(plan)).tree
     namespace: dict = {"np": np, "bisect_right": bisect.bisect_right}
-    exec(compile(src, "<sym-crsd-generated-kernel>", "exec"), namespace)
+    exec(compile(tree, "<sym-crsd-generated-kernel>", "exec"), namespace)
     return CompiledSymKernel(
         plan=plan,
         source=src,

@@ -10,11 +10,13 @@ class of mistakes a text-based generator actually makes (unbalanced
 braces, missing semicolons, stray ``case`` labels).
 
 The Python rendering *does* have a real front end — ``ast.parse`` —
-so :func:`validate_python_source` compiles the emitted codelet module
+so :func:`validate_python_source` parses the emitted codelet module
 and audits the function inventory against what the plan promises
 (every per-region codelet in both per-group and batched form), turning
 emitter regressions into build-time failures instead of AttributeErrors
-deep inside a benchmark run.
+deep inside a benchmark run.  The parsed tree rides along with the
+returned names, and the generators compile that tree, so each codelet
+is parsed once.
 """
 
 from __future__ import annotations
@@ -145,10 +147,20 @@ def validate_opencl_source(src: str) -> List[str]:
     return kernels
 
 
+class CodeletNames(list):
+    """The module-level function names of a validated codelet source,
+    carrying the parsed ``tree`` they were read from, so the caller
+    can ``compile(names.tree, ...)`` without parsing the source again."""
+
+    def __init__(self, names: Iterable[str], tree: ast.Module):
+        super().__init__(names)
+        self.tree = tree
+
+
 def validate_python_source(src: str,
-                           expected: Iterable[str] = ()) -> List[str]:
+                           expected: Iterable[str] = ()) -> CodeletNames:
     """Validate emitted Python codelet source; returns the module-level
-    function names found.
+    function names found (with the parsed module as ``.tree``).
 
     Checks the source actually parses (``ast.parse``), that every name
     in ``expected`` is defined as a module-level function (the caller
@@ -179,4 +191,4 @@ def validate_python_source(src: str,
             "emitted source is missing expected codelet(s): "
             + ", ".join(sorted(missing))
         )
-    return names
+    return CodeletNames(names, tree)

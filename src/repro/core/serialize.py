@@ -10,6 +10,16 @@ a stable content hash of the *mathematical* matrix, independent of the
 carrier format, so cache keys (the serving layer's
 :class:`~repro.serve.cache.PlanCache`), profile artifacts and saved
 files all agree on which matrix they are talking about.
+
+:func:`fingerprints` memoises its result on a
+:class:`~repro.formats.coo.COOMatrix` carrier: COO carriers are frozen
+(read-only arrays that cannot be rebound), so the hashes of one
+instance never change and every later lookup — router, plan cache,
+replica fan-out, hedges, shards — returns the stored result instead of
+re-hashing the arrays.  The memo lives on the instance (never keyed by
+``id()``) and is dropped when it is pickled.  It covers COO only:
+every other carrier (CRSD, SymCRSD, any other format, dense arrays,
+scipy objects) is canonicalised and hashed on every call.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import numpy as np
 
 from repro.core.crsd import CRSDBuildParams, CRSDMatrix
 from repro.core.pattern import DiagonalPattern, PatternRegion
+from repro.formats.coo import COOMatrix
 
 #: format marker + version for forward compatibility
 MAGIC = "repro-crsd"
@@ -62,25 +73,40 @@ class MatrixFingerprints:
 def fingerprints(matrix) -> MatrixFingerprints:
     """All three content hashes of ``matrix`` in one canonicalisation
     pass (see :func:`fingerprint` for the canonical form and the
-    accepted carrier formats)."""
+    accepted carrier formats); memoised on a frozen COO carrier."""
+    if isinstance(matrix, COOMatrix) and not _writeable(matrix):
+        if matrix._fingerprints is None:
+            matrix._fingerprints = _hash(matrix, matrix)
+        return matrix._fingerprints
     from repro.api import _as_coo
 
+    return _hash(matrix, _as_coo(matrix))
+
+
+def _writeable(coo: COOMatrix) -> bool:
+    return (coo.rows.flags.writeable or coo.cols.flags.writeable
+            or coo.vals.flags.writeable)
+
+
+def _hash(matrix, coo: COOMatrix) -> MatrixFingerprints:
     # carriers whose *serving identity* differs from the mathematical
     # matrix (e.g. the symmetric half carrier, whose cached plans and
     # codelets are not interchangeable with the full pattern's) declare
     # a variant tag folded into every hash — read off the original
-    # object, before the COO coercion erases it
+    # object, since its COO form ``coo`` no longer carries it
     variant = bytes(getattr(matrix, "fingerprint_variant", b""))
-    coo = _as_coo(matrix)
-    shape = np.asarray([coo.nrows, coo.ncols], dtype=np.int64).tobytes()
-    rows = np.ascontiguousarray(coo.rows, dtype=np.int64).tobytes()
-    cols = np.ascontiguousarray(coo.cols, dtype=np.int64).tobytes()
-    vals = np.ascontiguousarray(coo.vals, dtype=np.float64).tobytes()
-    combined = hashlib.sha256(
-        FINGERPRINT_DOMAIN + variant + shape + rows + cols + vals)
-    pattern = hashlib.sha256(
-        PATTERN_FINGERPRINT_DOMAIN + variant + shape + rows + cols)
-    values = hashlib.sha256(VALUE_FINGERPRINT_DOMAIN + variant + vals)
+    shape = np.asarray([coo.nrows, coo.ncols], dtype=np.int64)
+    rows = np.ascontiguousarray(coo.rows, dtype=np.int64)
+    cols = np.ascontiguousarray(coo.cols, dtype=np.int64)
+    vals = np.ascontiguousarray(coo.vals, dtype=np.float64)
+    combined = hashlib.sha256(FINGERPRINT_DOMAIN + variant)
+    pattern = hashlib.sha256(PATTERN_FINGERPRINT_DOMAIN + variant)
+    values = hashlib.sha256(VALUE_FINGERPRINT_DOMAIN + variant)
+    for buf in (shape, rows, cols):
+        combined.update(buf)
+        pattern.update(buf)
+    combined.update(vals)
+    values.update(vals)
     return MatrixFingerprints(
         combined=combined.hexdigest()[:FINGERPRINT_LEN],
         pattern=pattern.hexdigest()[:FINGERPRINT_LEN],

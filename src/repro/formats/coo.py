@@ -35,9 +35,23 @@ class COOMatrix(SparseFormat):
     keep_explicit_zeros:
         When False (default) triplets whose value is exactly 0.0 are
         dropped after deduplication.
+
+    A ``COOMatrix`` is immutable.  It owns its ``rows``/``cols``/``vals``
+    (never a view of the caller's buffers, so later writes to those do
+    not reach it), the three arrays are read-only (an in-place write
+    raises ``ValueError``) and the attributes cannot be rebound.  Copies
+    made by :func:`copy.deepcopy` or a pickle round-trip come back
+    frozen too.  To change a matrix, build a new one from copies, e.g.
+    ``COOMatrix(coo.rows, coo.cols, coo.vals * 2.0, coo.shape)``.  This
+    is what lets :func:`repro.core.serialize.fingerprints` hash each
+    carrier once and memoise the result on it.
     """
 
     name = "coo"
+
+    #: content hashes memoised by :func:`repro.core.serialize.fingerprints`
+    #: (sound because the arrays are frozen); dropped when pickled
+    _fingerprints = None
 
     def __init__(
         self,
@@ -65,9 +79,34 @@ class COOMatrix(SparseFormat):
         if not keep_explicit_zeros and vals.size:
             keep = vals != 0.0
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        self.rows = rows.astype(INDEX_DTYPE)
-        self.cols = cols.astype(INDEX_DTYPE)
-        self.vals = vals
+        self._rows = _frozen(rows.astype(INDEX_DTYPE))
+        self._cols = _frozen(cols.astype(INDEX_DTYPE))
+        self._vals = _frozen(vals)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_fingerprints", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for arr in (self._rows, self._cols, self._vals):
+            arr.flags.writeable = False
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row index of every stored triplet (read-only)."""
+        return self._rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Column index of every stored triplet (read-only)."""
+        return self._cols
+
+    @property
+    def vals(self) -> np.ndarray:
+        """Value of every stored triplet (read-only)."""
+        return self._vals
 
     # ------------------------------------------------------------------
     # constructors
@@ -156,6 +195,19 @@ class COOMatrix(SparseFormat):
         if tol == 0.0:
             return np.array_equal(self.vals, other.vals)
         return bool(np.allclose(self.vals, other.vals, rtol=0.0, atol=tol))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, copied first if it is a view.
+
+    Every non-empty construction path produces fresh arrays (``astype``,
+    fancy indexing); the empty path can still hand back a view of the
+    caller's buffer, which must be neither shared nor frozen.
+    """
+    if not arr.flags.owndata:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def _sort_and_sum_duplicates(

@@ -6,6 +6,7 @@ import pytest
 from repro.core.crsd import CRSDMatrix
 from repro.core.serialize import (
     FINGERPRINT_LEN,
+    MatrixFingerprints,
     fingerprint,
     fingerprints,
     pattern_fingerprint,
@@ -189,3 +190,158 @@ class TestSurfacing:
 
         report = profile_matrix(coo, "fp-test", executors=("batched",))
         assert report.meta["fingerprint"] == fingerprint(coo)
+
+
+class TestPinnedDigests:
+    """Hex digests captured before hashing was streamed and memoised:
+    the bytes fed to SHA-256 must never change, since every serving,
+    cluster and chaos report carries these strings."""
+
+    def test_suite_matrix(self):
+        from repro.matrices.suite23 import get_spec
+
+        kim1 = get_spec("kim1").generate(scale=0.05, seed=0)
+        assert fingerprints(kim1) == MatrixFingerprints(
+            combined="96cf2d9ef301451e", pattern="d6899c4e2423e8b0",
+            values="3f998c590f26090f")
+
+    def test_symcrsd_carrier(self):
+        from repro.core.symcrsd import SymCRSDMatrix
+        from repro.matrices.generators import symmetric_banded
+
+        band = symmetric_banded(1024, 7, np.random.default_rng(7))
+        sym = SymCRSDMatrix.from_coo(band, mrows=64)
+        assert fingerprints(sym) == MatrixFingerprints(
+            combined="f6de4d16900748b3", pattern="a757906cd611645c",
+            values="cf39d4f689537efb")
+
+
+class TestFrozenCarrier:
+    """``COOMatrix`` is immutable, which is what makes memoising its
+    fingerprints on the instance sound."""
+
+    @pytest.mark.parametrize("name", ["rows", "cols", "vals"])
+    def test_in_place_write_raises(self, coo, name):
+        arr = getattr(coo, name)
+        with pytest.raises(ValueError):
+            arr[0] = 1
+        with pytest.raises(ValueError):
+            arr += 1
+        with pytest.raises(AttributeError):
+            setattr(coo, name, arr.copy())
+
+    @pytest.mark.parametrize("keep_explicit_zeros", [False, True])
+    def test_caller_buffers_are_not_aliased(self, coo, keep_explicit_zeros):
+        rows, cols = coo.rows.astype(np.int64), coo.cols.astype(np.int64)
+        vals = coo.vals.copy()
+        carrier = COOMatrix(rows, cols, vals, coo.shape,
+                            keep_explicit_zeros=keep_explicit_zeros)
+        before = fingerprints(carrier)
+        rows[:] = 0
+        cols[:] = 0
+        vals[:] = 7.0
+        assert vals.flags.writeable  # the caller's buffer stays theirs
+        assert carrier.equals(coo)
+        assert fingerprints(carrier) == before == fingerprints(
+            COOMatrix(coo.rows, coo.cols, coo.vals, coo.shape))
+
+    def test_empty_carrier_does_not_freeze_caller_buffer(self):
+        z = np.empty(0)
+        empty = COOMatrix(z, z, z, (4, 4))
+        assert z.flags.writeable
+        assert not empty.vals.flags.writeable
+        assert not np.shares_memory(empty.vals, z)
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copies_come_back_frozen(self, coo, how):
+        import copy
+        import pickle
+
+        fps = fingerprints(coo)
+        twin = (copy.deepcopy(coo) if how == "deepcopy"
+                else pickle.loads(pickle.dumps(coo)))
+        assert twin is not coo and twin.equals(coo)
+        for name in ("rows", "cols", "vals"):
+            assert not getattr(twin, name).flags.writeable
+        with pytest.raises(ValueError):
+            twin.vals[0] = 1.0
+        assert fingerprints(twin) == fps
+
+
+class TestMemo:
+    """The hash body runs once per COO carrier, however many layers
+    look the carrier up."""
+
+    @pytest.fixture
+    def hash_calls(self, monkeypatch):
+        import repro.core.serialize as serialize
+
+        calls = []
+        real = serialize._hash
+
+        def counting(matrix, coo):
+            calls.append(matrix)
+            return real(matrix, coo)
+
+        monkeypatch.setattr(serialize, "_hash", counting)
+        return calls
+
+    def test_repeat_calls_return_the_memo(self, coo, hash_calls):
+        first = fingerprints(coo)
+        assert fingerprint(coo) == first.combined
+        assert pattern_fingerprint(coo) == first.pattern
+        assert value_fingerprint(coo) == first.values
+        assert fingerprints(coo) is first
+        assert hash_calls == [coo]
+
+    def test_other_carriers_hash_every_call(self, coo, hash_calls):
+        crsd = CRSDMatrix.from_coo(coo, mrows=32)
+        dense = coo.todense()
+        for carrier in (crsd, dense):
+            assert fingerprints(carrier) == fingerprints(carrier)
+        assert len(hash_calls) == 4
+
+    @pytest.mark.parametrize("cluster", [None, 2])
+    def test_serving_64_requests_hashes_once(self, hash_calls, cluster):
+        from repro.serve import serve_session
+
+        carrier = random_diagonal_matrix(np.random.default_rng(3), n=64)
+        engine = serve_session(cluster=cluster, replicas=cluster or 1)
+        x = np.random.default_rng(4).standard_normal(carrier.ncols)
+        for _ in range(64):
+            engine.submit(carrier, x)
+        results = engine.run()
+        assert len(results) == 64
+        assert all(r.served for r in results)
+        assert hash_calls == [carrier]
+
+
+class TestValueVariantTenants:
+    """Memoised hashes still tell value-variant tenants apart: they
+    miss on the combined/value hash and share the pattern hash, so the
+    plan cache adopts the donor's plan for each of them."""
+
+    def test_tenants_share_pattern_only(self):
+        from repro.serve import serve_session
+        from repro.serve.cache import PlanCache
+        from repro.serve.loadgen import (
+            LoadConfig,
+            _resolve_specs,
+            _tenant_matrices,
+        )
+
+        config = LoadConfig(scale=0.02, tenants=3, matrices=("kim1",))
+        tenants = _tenant_matrices(config, _resolve_specs(config.matrices))
+        fps = [fingerprints(t) for t in tenants]
+        assert len({f.pattern for f in fps}) == 1
+        assert len({f.combined for f in fps}) == 3
+        assert len({f.values for f in fps}) == 3
+
+        cache = PlanCache()
+        engine = serve_session(cache=cache)
+        x = np.random.default_rng(5).standard_normal(tenants[0].ncols)
+        for tenant in tenants:
+            engine.submit(tenant, x)
+        assert all(r.served for r in engine.run())
+        assert set(cache.fingerprints) == {f.combined for f in fps}
+        assert cache.stats.pattern_reuses == 2
