@@ -37,7 +37,7 @@ from repro.analyze.model import build_model
 from repro.analyze.report import AnalysisReport
 from repro.codegen.opencl_source import generate_opencl_source
 from repro.codegen.plan import KernelPlan, build_plan
-from repro.codegen.python_codelet import emit_python_source
+from repro.codegen.python_codelet import emit_python_source, expected_functions
 from repro.codegen.sym_codelet import (
     build_sym_plan,
     emit_sym_python_source,
@@ -118,7 +118,7 @@ def _renderings(plan: KernelPlan,
                 emit_sym_python_source(plan),
                 expected_sym_functions(plan))
     return (generate_opencl_source(plan, precision=precision),
-            emit_python_source(plan), _expected_codelets(plan))
+            emit_python_source(plan), expected_functions(plan))
 
 
 def _check_render(model, plan: KernelPlan, precision: str,
@@ -171,14 +171,3 @@ def _check_render(model, plan: KernelPlan, precision: str,
         report.add("render", "error", "opencl rendering",
                    "__local memory declared although the plan does not "
                    "use local memory")
-
-
-def _expected_codelets(plan: KernelPlan) -> List[str]:
-    names = ["crsd_dia_kernel", "crsd_dia_kernel_batched"]
-    for i in range(len(plan.regions)):
-        names.append(f"_codelet_p{i}")
-        names.append(f"_codelet_p{i}_batched")
-    if plan.scatter.num_rows:
-        names.append("crsd_scatter_kernel")
-        names.append("crsd_scatter_kernel_batched")
-    return names

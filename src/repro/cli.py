@@ -691,11 +691,19 @@ def cmd_cluster_chaos(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (one subcommand per command)."""
+    from repro.ocl.executor import ORACLE_EXECUTORS
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="CRSD SpMV reproduction toolkit (Sun et al., ICPP 2011)",
     )
     sub = p.add_subparsers(dest="command", required=True)
+
+    def executors_arg(sp):
+        default = ",".join(ORACLE_EXECUTORS)
+        sp.add_argument("--executors", default=default,
+                        help=f"comma-separated executor modes "
+                             f"(default: {default})")
 
     def common(sp):
         sp.add_argument("matrix", help="suite name/number or .mtx path")
@@ -766,9 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--formats", default="crsd",
                     help="comma-separated formats (default: crsd)")
-    sp.add_argument("--executors", default="batched,pergroup",
-                    help="comma-separated executor modes "
-                         "(default: batched,pergroup)")
+    executors_arg(sp)
     sp.add_argument("--precisions", default="double",
                     help="comma-separated precisions (default: double)")
     sp.add_argument("--json", action="store_true",
@@ -792,9 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: all 23)")
     sp.add_argument("--format", default="crsd",
                     help="requested (top-rung) format (default: crsd)")
-    sp.add_argument("--executors", default="batched,pergroup",
-                    help="comma-separated executor modes "
-                         "(default: batched,pergroup)")
+    executors_arg(sp)
     sp.add_argument("--precisions", default="double,single",
                     help="comma-separated precisions "
                          "(default: double,single)")

@@ -14,16 +14,17 @@ executes them); lanes predicated off by bounds masks are not counted.
 The GFLOPS *metric* divides ``2·nnz`` by time, so fill work hurts, as
 it should.
 
-Each kernel is emitted twice: the per-group form (``_codelet_p0``,
-``crsd_dia_kernel``, ...) runs under the sequential reference engine
-(:func:`~repro.ocl.executor.launch`, one work-group per invocation),
-and a ``*_batched`` form runs under
-:func:`~repro.ocl.executor.launch_batched` where ``ctx.group_id`` is a
-``(num_groups, 1)`` column and every statement operates on the whole
-``(num_segments, mrows)`` lane grid at once.  The statement text is
-deliberately identical between the two forms wherever broadcasting
-makes it shape-generic; only the accumulator shapes and the per-region
-flop literals (``x NRS``) differ.
+Each kernel is emitted once, in a shape-generic form that runs
+unchanged under both engines of :mod:`repro.ocl.executor`: the
+sequential reference engine (one
+:class:`~repro.ocl.executor.WorkGroupCtx` per work-group, scalar
+``ctx.group_id``) and the segment-batched engine (one
+:class:`~repro.ocl.executor.BatchCtx`, where ``ctx.group_id`` is a
+``(num_groups, 1)`` column and every statement broadcasts over the
+whole ``(num_segments, mrows)`` lane grid).  Accumulators take their
+shape from an index expression and flops scale with
+``ctx.num_groups`` (1 for a single work-group), so no statement knows
+which engine runs it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from repro.codegen.validator import validate_python_source
 
 @dataclass
 class CompiledKernel:
-    """A generated-and-compiled CRSD kernel pair.
+    """A generated-and-compiled CRSD kernel pair; each kernel runs
+    under both execution engines.
 
     Attributes
     ----------
@@ -49,22 +51,16 @@ class CompiledKernel:
     source:
         The generated Python source (inspectable, testable).
     dia_kernel:
-        ``f(ctx, dia_val, x, y)`` — the diagonal-pattern kernel
-        (per-group form, for :func:`~repro.ocl.executor.launch`).
+        ``f(ctx, dia_val, x, y)`` — the diagonal-pattern kernel.
     scatter_kernel:
         ``f(ctx, scatter_colval, scatter_val, scatter_rowno, x, y)`` or
         ``None`` when the matrix has no scatter rows.
-    dia_kernel_batched / scatter_kernel_batched:
-        The same kernels in segment-batched form, for
-        :func:`~repro.ocl.executor.launch_batched`.
     """
 
     plan: KernelPlan
     source: str
     dia_kernel: Callable
     scatter_kernel: Optional[Callable]
-    dia_kernel_batched: Callable
-    scatter_kernel_batched: Optional[Callable]
 
 
 class _Writer:
@@ -90,13 +86,12 @@ class _Writer:
         return self._buf.getvalue()
 
 
-def _expected_functions(plan: KernelPlan) -> List[str]:
+def expected_functions(plan: KernelPlan) -> List[str]:
     """Function inventory the emitted module must define for ``plan``."""
-    names = ["crsd_dia_kernel", "crsd_dia_kernel_batched"]
-    for i in range(len(plan.regions)):
-        names += [f"_codelet_p{i}", f"_codelet_p{i}_batched"]
+    names = ["crsd_dia_kernel"]
+    names += [f"_codelet_p{i}" for i in range(len(plan.regions))]
     if plan.scatter.num_rows:
-        names += ["crsd_scatter_kernel", "crsd_scatter_kernel_batched"]
+        names.append("crsd_scatter_kernel")
     return names
 
 
@@ -105,14 +100,13 @@ def generate_python_kernel(plan: KernelPlan,
     """Emit, validate and compile the Python kernel for ``plan``.
 
     The emitted source is always checked structurally (it must parse
-    and define every codelet the plan promises, in per-group and
-    batched form).  ``strict=True`` additionally runs the full static
+    and define every codelet the plan promises).  ``strict=True`` additionally runs the full static
     analyzer over the plan and both renderings, raising
     :class:`~repro.analyze.report.KernelAnalysisError` if any checker
     reports a violation — no kernel with a provable defect compiles.
     """
     src = emit_python_source(plan)
-    tree = validate_python_source(src, expected=_expected_functions(plan)).tree
+    tree = validate_python_source(src, expected=expected_functions(plan)).tree
     if strict:
         # local import: repro.analyze itself analyzes this module's output
         from repro.analyze.driver import analyze_plan
@@ -121,15 +115,13 @@ def generate_python_kernel(plan: KernelPlan,
         report = analyze_plan(plan)
         if not report.ok:
             raise KernelAnalysisError(report)
-    namespace: dict = {"np": np, "bisect_right": __import__("bisect").bisect_right}
+    namespace: dict = {"np": np}
     exec(compile(tree, "<crsd-generated-kernel>", "exec"), namespace)
     return CompiledKernel(
         plan=plan,
         source=src,
         dia_kernel=namespace["crsd_dia_kernel"],
         scatter_kernel=namespace.get("crsd_scatter_kernel"),
-        dia_kernel_batched=namespace["crsd_dia_kernel_batched"],
-        scatter_kernel_batched=namespace.get("crsd_scatter_kernel_batched"),
     )
 
 
@@ -143,15 +135,11 @@ def emit_python_source(plan: KernelPlan) -> str:
     w.line()
     for region in plan.regions:
         _emit_region_codelet(w, plan, region)
-    _emit_dispatcher(w, plan)
+    emit_dispatcher(w, plan, "crsd_dia_kernel", "_codelet_p", "dia_val",
+                    "Diagonal-pattern part: each region codelet over its "
+                    "row segments.")
     if plan.scatter.num_rows:
         _emit_scatter_kernel(w, plan)
-    # segment-batched forms (launch_batched)
-    for region in plan.regions:
-        _emit_region_codelet(w, plan, region, batched=True)
-    _emit_dispatcher_batched(w, plan)
-    if plan.scatter.num_rows:
-        _emit_scatter_kernel(w, plan, batched=True)
     return w.getvalue()
 
 
@@ -159,40 +147,36 @@ def emit_python_source(plan: KernelPlan) -> str:
 # region codelets
 # ----------------------------------------------------------------------
 
-def _emit_region_codelet(w: _Writer, plan: KernelPlan, region: RegionPlan,
-                         batched: bool = False) -> None:
+def _emit_region_codelet(w: _Writer, plan: KernelPlan,
+                         region: RegionPlan) -> None:
     """Emit one region codelet.
 
-    The batched form is the same statement list over a
-    ``(num_segments, mrows)`` grid: ``seg`` is a ``(NRS, 1)`` column
-    (``ctx.group_id`` of a :class:`~repro.ocl.executor.BatchCtx`) and
-    broadcasts through every index expression unchanged; only the
-    accumulator shape and the flop literals (one call for all NRS
-    segments) differ.
+    ``seg`` is a scalar under a :class:`~repro.ocl.executor.WorkGroupCtx`
+    and a ``(NRS, 1)`` column under a
+    :class:`~repro.ocl.executor.BatchCtx`; it broadcasts through every
+    index expression, and the accumulators take ``row``'s shape.
     """
     m = region.mrows
-    suffix = "_batched" if batched else ""
-    w.line(f"def _codelet_p{region.index}{suffix}(ctx, dia_val, xb, yb):")
+    w.line(f"def _codelet_p{region.index}(ctx, dia_val, xb, yb):")
     w.indent()
     w.line(f'"""Pattern {region.signature}: SR={region.start_row}, '
            f'NRS={region.nrs}, NNzRS={region.nnz_per_segment}."""')
     w.line("lid = ctx.lid")
     w.line(f"seg = ctx.group_id - {region.gid_base}")
-    shape = f"(ctx.num_groups, {m})" if batched else str(m)
+    w.line(f"row = {region.start_row} + seg * {m} + lid")
     if plan.nvec == 1:
-        w.line(f"acc = np.zeros({shape}, dtype=xb.data.dtype)")
+        w.line("acc = np.zeros(row.shape, dtype=xb.data.dtype)")
     else:
         for j in range(plan.nvec):
-            w.line(f"acc{j} = np.zeros({shape}, dtype=xb.data.dtype)")
+            w.line(f"acc{j} = np.zeros(row.shape, dtype=xb.data.dtype)")
     slab = f"{region.slab_base} + seg * {region.nnz_per_segment}"
     for g in region.groups:
         if plan.nvec > 1:
-            _emit_group_multivec(w, plan, region, g, slab, batched)
+            _emit_group_multivec(w, plan, region, g, slab)
         elif g.kind == "AD" and plan.use_local_memory:
-            _emit_ad_group_local(w, plan, region, g, slab, batched)
+            _emit_ad_group_local(w, plan, region, g, slab)
         else:
-            _emit_group_direct(w, plan, region, g, slab, batched)
-    w.line(f"row = {region.start_row} + seg * {m} + lid")
+            _emit_group_direct(w, plan, region, g, slab)
     w.line(f"ok = row < {plan.nrows}")
     if plan.nvec == 1:
         w.line(f"ctx.gstore(yb, np.minimum(row, {plan.nrows - 1}), acc, mask=ok)")
@@ -206,15 +190,8 @@ def _emit_region_codelet(w: _Writer, plan: KernelPlan, region: RegionPlan,
     w.line()
 
 
-def _flops_arg(n: int, batched: bool) -> str:
-    """Per-group codelets report ``n`` flops once per work-group; the
-    batched form makes one call covering all its segments."""
-    return f"{n} * ctx.num_groups" if batched else str(n)
-
-
 def _emit_group_multivec(
-    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan, slab: str,
-    batched: bool = False
+    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan, slab: str
 ) -> None:
     """SpMM body: each diagonal value loaded once, multiplied against
     every right-hand side (x held column-major, strides baked in)."""
@@ -230,12 +207,11 @@ def _emit_group_multivec(
         w.line(f"xc = np.clip(xi, 0, {cmax})")
         for j in range(plan.nvec):
             w.line(f"acc{j} = acc{j} + v * ctx.gload(xb, {j * plan.ncols} + xc, mask=mx)")
-        w.line(f"ctx.flops({_flops_arg(2 * m * plan.nvec, batched)})")
+        w.line(f"ctx.flops({2 * m * plan.nvec} * ctx.num_groups)")
 
 
 def _emit_ad_group_local(
-    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan, slab: str,
-    batched: bool = False
+    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan, slab: str
 ) -> None:
     """AD group: stage the shared x window into local memory once, then
     all member diagonals read it (Fig. 5)."""
@@ -266,12 +242,11 @@ def _emit_ad_group_local(
         d = g.d_first + j
         w.line(f"v = ctx.gload(dia_val, {slab} + {d * m} + lid)")
         w.line(f"acc = acc + v * ctx.lload(tile, lid + {j})")
-        w.line(f"ctx.flops({_flops_arg(2 * m, batched)})")
+        w.line(f"ctx.flops({2 * m} * ctx.num_groups)")
 
 
 def _emit_group_direct(
-    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan, slab: str,
-    batched: bool = False
+    w: _Writer, plan: KernelPlan, region: RegionPlan, g: GroupPlan, slab: str
 ) -> None:
     """NAD group (or AD with local memory disabled): every diagonal
     gathers x straight from global memory."""
@@ -285,85 +260,56 @@ def _emit_group_direct(
         w.line(f"xi = {colv} + seg * {m} + lid")
         w.line(f"mx = (xi >= 0) & (xi < {plan.ncols})")
         w.line(f"acc = acc + v * ctx.gload(xb, np.clip(xi, 0, {cmax}), mask=mx)")
-        w.line(f"ctx.flops({_flops_arg(2 * m, batched)})")
+        w.line(f"ctx.flops({2 * m} * ctx.num_groups)")
 
 
 # ----------------------------------------------------------------------
 # dispatcher and scatter kernel
 # ----------------------------------------------------------------------
 
-def _emit_dispatcher(w: _Writer, plan: KernelPlan) -> None:
+def emit_dispatcher(w: _Writer, plan: KernelPlan, name: str, codelet: str,
+                    slab: str, doc: str) -> None:
     """The paper's membership condition
-    ``sum_{i<p} NRS_i <= group_id < sum_{i<=p} NRS_i`` as a baked
-    boundary table (the OpenCL rendering shows the equivalent
-    switch)."""
-    bounds = []
-    acc = 0
-    for r in plan.regions:
-        acc += r.nrs
-        bounds.append(acc)
-    w.line(f"_GID_BOUNDS = {tuple(bounds)!r}")
-    w.line()
-    w.line("def crsd_dia_kernel(ctx, dia_val, xb, yb):")
-    w.indent()
-    w.line('"""Diagonal-pattern part: one work-group per row segment."""')
-    if not plan.regions:
-        w.line("return")
-        w.dedent()
-        w.line()
-        return
-    w.line("p = bisect_right(_GID_BOUNDS, ctx.group_id)")
-    for i in range(len(plan.regions)):
-        kw = "if" if i == 0 else "elif"
-        w.line(f"{kw} p == {i}:")
-        w.indent().line(f"_codelet_p{i}(ctx, dia_val, xb, yb)").dedent()
-    w.dedent()
-    w.line()
+    ``sum_{i<p} NRS_i <= group_id < sum_{i<=p} NRS_i`` walked as static
+    region bounds (the OpenCL rendering shows the equivalent switch).
 
-
-def _emit_dispatcher_batched(w: _Writer, plan: KernelPlan) -> None:
-    """Batched dispatcher: the region boundaries partition the group-id
-    grid statically, so instead of a per-group membership test each
-    region codelet runs once over its whole contiguous id range (a
-    child :class:`~repro.ocl.executor.BatchCtx`).  Each child is
-    finalized before the next region starts so the L2 replay keeps the
-    per-group launch order."""
-    w.line("def crsd_dia_kernel_batched(ctx, dia_val, xb, yb):")
+    ``ctx.sub(lo, hi)`` is the context for region ``p``'s group range:
+    a batch context runs the codelet once over the whole range (and is
+    finalized before the next region so the L2 replay keeps the
+    per-group launch order); a single work-group's context is itself
+    when its group lies in the range and ``None`` otherwise — a
+    group-uniform branch.
+    """
+    w.line(f"def {name}(ctx, {slab}, xb, yb):")
     w.indent()
-    w.line('"""Diagonal-pattern part, all row segments batched."""')
-    if not plan.regions:
-        w.line("return")
-        w.dedent()
-        w.line()
-        return
+    w.line(f'"""{doc}"""')
     lo = 0
     for i, r in enumerate(plan.regions):
         hi = lo + r.nrs
         w.line(f"sub = ctx.sub({lo}, {hi})")
-        w.line(f"_codelet_p{i}_batched(sub, dia_val, xb, yb)")
+        w.line("if sub is not None:")
+        w.indent()
+        w.line(f"{codelet}{i}(sub, {slab}, xb, yb)")
         w.line("sub.finalize()")
+        w.dedent()
         lo = hi
     w.dedent()
     w.line()
 
 
-def _emit_scatter_kernel(w: _Writer, plan: KernelPlan,
-                         batched: bool = False) -> None:
+def _emit_scatter_kernel(w: _Writer, plan: KernelPlan) -> None:
     """The generated ELL kernel over scatter rows (Section II-D /
     III-B): fully unrolled over ``num_scatter_width``, column-major
     arrays so loads coalesce, and it *overwrites* y — it runs after the
     diagonal kernel and owns its rows completely.
 
-    The batched form is text-identical except for the accumulator
-    shape: ``pos``/``m``/``safe`` become grids by broadcasting, and the
-    per-entry flop count already sums the active-lane mask, which
-    covers all groups at once."""
+    ``pos``/``m``/``safe`` are one group's lanes or the whole grid by
+    broadcasting, and the per-entry flop count sums the active-lane
+    mask, which covers every group the context spans."""
     s = plan.scatter
     ls = plan.local_size
     nmax = s.num_rows - 1
-    suffix = "_batched" if batched else ""
-    shape = f"(ctx.num_groups, {ls})" if batched else str(ls)
-    w.line(f"def crsd_scatter_kernel{suffix}(ctx, scol, sval, srow, xb, yb):")
+    w.line("def crsd_scatter_kernel(ctx, scol, sval, srow, xb, yb):")
     w.indent()
     w.line(f'"""Scatter-row ELL part: {s.num_rows} rows x {s.width} entries, '
            'unrolled."""')
@@ -371,7 +317,7 @@ def _emit_scatter_kernel(w: _Writer, plan: KernelPlan,
     w.line(f"m = pos < {s.num_rows}")
     w.line(f"safe = np.minimum(pos, {nmax})")
     if plan.nvec == 1:
-        w.line(f"acc = np.zeros({shape}, dtype=xb.data.dtype)")
+        w.line("acc = np.zeros(pos.shape, dtype=xb.data.dtype)")
         for k in range(s.width):
             w.line(f"c = ctx.gload(scol, {k * s.num_rows} + safe, mask=m)")
             w.line(f"v = ctx.gload(sval, {k * s.num_rows} + safe, mask=m)")
@@ -381,7 +327,7 @@ def _emit_scatter_kernel(w: _Writer, plan: KernelPlan,
         w.line("ctx.gstore(yb, r, acc, mask=m)")
     else:
         for j in range(plan.nvec):
-            w.line(f"acc{j} = np.zeros({shape}, dtype=xb.data.dtype)")
+            w.line(f"acc{j} = np.zeros(pos.shape, dtype=xb.data.dtype)")
         for k in range(s.width):
             w.line(f"c = ctx.gload(scol, {k * s.num_rows} + safe, mask=m)")
             w.line(f"v = ctx.gload(sval, {k * s.num_rows} + safe, mask=m)")

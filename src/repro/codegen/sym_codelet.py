@@ -13,11 +13,14 @@ unchanged — the plan built here is a plain
 Accumulation order is the full pattern's ascending offset order —
 identical to the full-carrier codelets and the host references — which
 is what makes the served ``y`` bit-identical to full CRSD.
+
+As for the full carrier, each Python codelet and the dispatcher are
+emitted once in shape-generic form and run unchanged under both
+execution engines (per-group and segment-batched).
 """
 
 from __future__ import annotations
 
-import bisect
 import io
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -25,7 +28,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from repro.codegen.plan import GroupPlan, KernelPlan, RegionPlan, ScatterPlan
-from repro.codegen.python_codelet import _Writer
+from repro.codegen.python_codelet import _Writer, emit_dispatcher
 from repro.codegen.validator import validate_python_source
 from repro.core.symcrsd import SymCRSDMatrix
 
@@ -43,12 +46,12 @@ _PREAMBLE = """\
 
 @dataclass
 class CompiledSymKernel:
-    """A generated-and-compiled symmetric CRSD kernel pair."""
+    """A generated-and-compiled symmetric CRSD kernel; it runs under
+    both execution engines."""
 
     plan: KernelPlan
     source: str
     dia_kernel: Callable
-    dia_kernel_batched: Callable
 
 
 def full_offsets(stored: Sequence[int]) -> Tuple[int, ...]:
@@ -103,10 +106,8 @@ def build_sym_plan(sym: SymCRSDMatrix) -> KernelPlan:
 
 def expected_sym_functions(plan: KernelPlan) -> List[str]:
     """Function inventory the emitted Python module must define."""
-    names = ["sym_dia_kernel", "sym_dia_kernel_batched"]
-    for i in range(len(plan.regions)):
-        names += [f"_sym_codelet_p{i}", f"_sym_codelet_p{i}_batched"]
-    return names
+    return ["sym_dia_kernel"] + [f"_sym_codelet_p{i}"
+                                 for i in range(len(plan.regions))]
 
 
 def generate_sym_python_kernel(plan: KernelPlan) -> CompiledSymKernel:
@@ -114,13 +115,12 @@ def generate_sym_python_kernel(plan: KernelPlan) -> CompiledSymKernel:
     src = emit_sym_python_source(plan)
     tree = validate_python_source(
         src, expected=expected_sym_functions(plan)).tree
-    namespace: dict = {"np": np, "bisect_right": bisect.bisect_right}
+    namespace: dict = {"np": np}
     exec(compile(tree, "<sym-crsd-generated-kernel>", "exec"), namespace)
     return CompiledSymKernel(
         plan=plan,
         source=src,
         dia_kernel=namespace["sym_dia_kernel"],
-        dia_kernel_batched=namespace["sym_dia_kernel_batched"],
     )
 
 
@@ -133,32 +133,26 @@ def emit_sym_python_source(plan: KernelPlan) -> str:
     w.line()
     for region in plan.regions:
         _emit_sym_codelet(w, plan, region)
-    _emit_sym_dispatcher(w, plan)
-    for region in plan.regions:
-        _emit_sym_codelet(w, plan, region, batched=True)
-    _emit_sym_dispatcher_batched(w, plan)
+    emit_dispatcher(w, plan, "sym_dia_kernel", "_sym_codelet_p", "sym_val",
+                    "Symmetric diagonal kernel: each region codelet over "
+                    "its row segments.")
     return w.getvalue()
 
 
-def _flops_arg(n: int, batched: bool) -> str:
-    return f"{n} * ctx.num_groups" if batched else str(n)
-
-
-def _emit_sym_codelet(w: _Writer, plan: KernelPlan, region: RegionPlan,
-                      batched: bool = False) -> None:
+def _emit_sym_codelet(w: _Writer, plan: KernelPlan,
+                      region: RegionPlan) -> None:
     m = region.mrows
     run = region.nrs * m
     cmax = plan.ncols - 1
     stored = region.groups[0].offsets
-    suffix = "_batched" if batched else ""
-    w.line(f"def _sym_codelet_p{region.index}{suffix}(ctx, sym_val, xb, yb):")
+    w.line(f"def _sym_codelet_p{region.index}(ctx, sym_val, xb, yb):")
     w.indent()
     w.line(f'"""Pattern {region.signature}: SR={region.start_row}, '
            f'NRS={region.nrs}, stored offsets {list(stored)}."""')
     w.line("lid = ctx.lid")
     w.line(f"seg = ctx.group_id - {region.gid_base}")
-    shape = f"(ctx.num_groups, {m})" if batched else str(m)
-    w.line(f"acc = np.zeros({shape}, dtype=xb.data.dtype)")
+    w.line(f"row = {region.start_row} + seg * {m} + lid")
+    w.line("acc = np.zeros(row.shape, dtype=xb.data.dtype)")
     for off in full_offsets(stored):
         o = abs(off)
         d = stored.index(o)
@@ -174,55 +168,9 @@ def _emit_sym_codelet(w: _Writer, plan: KernelPlan, region: RegionPlan,
         w.line(f"xi = {region.start_row + off} + seg * {m} + lid")
         w.line(f"mx = (xi >= 0) & (xi < {plan.ncols})")
         w.line(f"acc = acc + v * ctx.gload(xb, np.clip(xi, 0, {cmax}), mask=mx)")
-        w.line(f"ctx.flops({_flops_arg(2 * m, batched)})")
-    w.line(f"row = {region.start_row} + seg * {m} + lid")
+        w.line(f"ctx.flops({2 * m} * ctx.num_groups)")
     w.line(f"ok = row < {plan.nrows}")
     w.line(f"ctx.gstore(yb, np.minimum(row, {plan.nrows - 1}), acc, mask=ok)")
-    w.dedent()
-    w.line()
-
-
-def _emit_sym_dispatcher(w: _Writer, plan: KernelPlan) -> None:
-    bounds = []
-    acc = 0
-    for r in plan.regions:
-        acc += r.nrs
-        bounds.append(acc)
-    w.line(f"_SYM_GID_BOUNDS = {tuple(bounds)!r}")
-    w.line()
-    w.line("def sym_dia_kernel(ctx, sym_val, xb, yb):")
-    w.indent()
-    w.line('"""Symmetric diagonal kernel: one work-group per row segment."""')
-    if not plan.regions:
-        w.line("return")
-        w.dedent()
-        w.line()
-        return
-    w.line("p = bisect_right(_SYM_GID_BOUNDS, ctx.group_id)")
-    for i in range(len(plan.regions)):
-        kw = "if" if i == 0 else "elif"
-        w.line(f"{kw} p == {i}:")
-        w.indent().line(f"_sym_codelet_p{i}(ctx, sym_val, xb, yb)").dedent()
-    w.dedent()
-    w.line()
-
-
-def _emit_sym_dispatcher_batched(w: _Writer, plan: KernelPlan) -> None:
-    w.line("def sym_dia_kernel_batched(ctx, sym_val, xb, yb):")
-    w.indent()
-    w.line('"""Symmetric diagonal kernel, all row segments batched."""')
-    if not plan.regions:
-        w.line("return")
-        w.dedent()
-        w.line()
-        return
-    lo = 0
-    for i, r in enumerate(plan.regions):
-        hi = lo + r.nrs
-        w.line(f"sub = ctx.sub({lo}, {hi})")
-        w.line(f"_sym_codelet_p{i}_batched(sub, sym_val, xb, yb)")
-        w.line("sub.finalize()")
-        lo = hi
     w.dedent()
     w.line()
 

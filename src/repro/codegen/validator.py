@@ -164,8 +164,8 @@ def validate_python_source(src: str,
 
     Checks the source actually parses (``ast.parse``), that every name
     in ``expected`` is defined as a module-level function (the caller
-    derives the inventory from the plan: per-region codelets in both
-    per-group and batched form, the dispatchers, the scatter kernel),
+    derives the inventory from the plan: the per-region codelets, the
+    dispatcher, the scatter kernel),
     and that no two definitions collide.  Raises
     :class:`PythonCodeletSyntaxError` on any problem.
     """

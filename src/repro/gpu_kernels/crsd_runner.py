@@ -174,19 +174,12 @@ class CrsdSpMV(GPUSpMV):
     # ------------------------------------------------------------------
     def _execute_launches(self, xbuf, ybuf, trace: bool,
                           batched: bool) -> SpMVRun:
-        if batched:
-            do_launch = launch_batched
-            dia_kernel = self.kernel.dia_kernel_batched
-            scatter_kernel = self.kernel.scatter_kernel_batched
-        else:
-            do_launch = launch
-            dia_kernel = self.kernel.dia_kernel
-            scatter_kernel = self.kernel.scatter_kernel
+        do_launch = launch_batched if batched else launch
         # one L2 cache for both kernels of this SpMV: the scatter
         # pass reuses x lines the diagonal pass brought in
         cache = make_launch_cache(self.device, trace)
         tr = do_launch(
-            dia_kernel,
+            self.kernel.dia_kernel,
             self.plan.num_groups,
             self.plan.local_size,
             (self._dia_val, xbuf, ybuf),
@@ -194,10 +187,10 @@ class CrsdSpMV(GPUSpMV):
             trace,
             cache,
         )
-        if scatter_kernel is not None:
+        if self.kernel.scatter_kernel is not None:
             groups = -(-self.plan.scatter.num_rows // self.plan.local_size)
             tr2 = do_launch(
-                scatter_kernel,
+                self.kernel.scatter_kernel,
                 groups,
                 self.plan.local_size,
                 (self._scol, self._sval, self._srow, xbuf, ybuf),

@@ -85,13 +85,11 @@ class SymCrsdSpMV(GPUSpMV):
         try:
             ybuf = self._y
             ybuf.data[:] = 0
-            batched = executor_mode() != "pergroup"
-            do_launch = launch_batched if batched else launch
-            kernel = (self.kernel.dia_kernel_batched if batched
-                      else self.kernel.dia_kernel)
+            do_launch = (launch if executor_mode() == "pergroup"
+                         else launch_batched)
             cache = make_launch_cache(self.device, trace)
             tr = do_launch(
-                kernel,
+                self.kernel.dia_kernel,
                 self.plan.num_groups,
                 self.plan.local_size,
                 (self._sym_val, xbuf, ybuf),

@@ -21,6 +21,7 @@ from repro.obs.metrics import MetricRegistry
 from repro.obs.recorder import ProfileSession, observe
 from repro.obs.report import ProfileReport
 from repro.ocl.device import DeviceSpec, TESLA_C2050
+from repro.ocl.executor import EXECUTOR_ENV, EXECUTOR_MODES, ORACLE_EXECUTORS
 
 __all__ = ["profile_matrix", "profile_runner"]
 
@@ -74,7 +75,7 @@ def profile_matrix(
     name: str = "matrix",
     *,
     formats: Sequence[str] = ("crsd",),
-    executors: Sequence[str] = ("batched", "pergroup"),
+    executors: Sequence[str] = ORACLE_EXECUTORS,
     precisions: Sequence[str] = ("double",),
     device: DeviceSpec = TESLA_C2050,
     mrows: int = 128,
@@ -93,13 +94,11 @@ def profile_matrix(
     all (e.g. DIA out of device memory in double precision) is skipped
     instead of aborting the sweep: it gets a machine-readable record
     in ``report.skips`` (entry/format/executor/precision plus error
-    type and reason) and — for :class:`DeviceMemoryError` — the legacy
-    ``.oom`` event span.
+    type and reason).
     """
     # imported lazily: the executor itself hooks into repro.obs.recorder
     from repro.bench.runner import _build_runners
-    from repro.ocl.errors import DeviceMemoryError, OCLError
-    from repro.ocl.executor import EXECUTOR_ENV, EXECUTOR_MODES
+    from repro.ocl.errors import OCLError
     from repro.perf.costmodel import predict_gpu_time
 
     for ex in executors:
@@ -134,12 +133,6 @@ def profile_matrix(
                                 )[fmt]
                                 run = runner.run(x)
                         except OCLError as exc:
-                            if isinstance(exc, DeviceMemoryError):
-                                # the legacy per-skip event, kept for
-                                # report consumers keyed on ".oom"
-                                session.record_event(
-                                    f"{entry}.oom", "event",
-                                    reason=str(exc))
                             skips.append({
                                 "entry": entry,
                                 "format": fmt,

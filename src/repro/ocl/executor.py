@@ -1,17 +1,20 @@
 """Kernel execution on the simulated device.
 
 A kernel is a Python callable ``kernel(ctx, *buffers)`` written
-*vectorised over one work-group*: ``ctx.lid`` is the array of local
-work-item ids and every load/store moves one value per (active) lane.
-:func:`launch` runs the kernel for every work-group sequentially (the
-simulation is functional — scheduling order cannot change results
-because work-groups are independent, as in OpenCL) and aggregates a
-:class:`~repro.ocl.trace.KernelTrace`.
-
-Two execution engines are provided:
+*vectorised over lanes*: ``ctx.lid`` is the array of local work-item
+ids and every load/store moves one value per (active) lane.  Kernels
+are shape-generic — ``ctx.group_id`` is a scalar for one work-group or
+a ``(num_groups, 1)`` column for a batch, and every index expression
+broadcasts — so one kernel text (every generated CRSD/SYM codelet, the
+DIA/ELL kernels) runs unchanged under both execution engines:
 
 - :func:`launch` — the per-group reference engine: one
-  :class:`WorkGroupCtx` per work-group, executed sequentially.
+  :class:`WorkGroupCtx` per work-group, executed sequentially (the
+  simulation is functional — scheduling order cannot change results
+  because work-groups are independent, as in OpenCL).  Its context has
+  ``num_groups == 1``, and ``sub``/``finalize`` select and close a
+  region as :class:`BatchCtx` does, so multi-region dispatchers need
+  no per-engine form.
 - :func:`launch_batched` — the segment-batched engine: one
   :class:`BatchCtx` spanning *all* work-groups of a uniform code path,
   so a kernel runs as a handful of numpy calls over a
@@ -21,6 +24,8 @@ Two execution engines are provided:
   the same counters are produced: per-wavefront coalescing is computed
   vectorised across all groups, and the L2 model is fed the identical
   per-group-ordered segment stream via a deferred replay.
+
+Both aggregate a :class:`~repro.ocl.trace.KernelTrace`.
 
 :func:`executor_mode` selects the engine runners use (environment
 variable ``REPRO_EXECUTOR``; the per-group path stays available as the
@@ -66,6 +71,10 @@ EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 #: recognised engine names
 EXECUTOR_MODES = ("batched", "pergroup", "fused")
+
+#: default engine set of the differential sweeps (profile, faultsim):
+#: the batched engine and the per-group oracle it is checked against
+ORACLE_EXECUTORS = ("batched", "pergroup")
 
 
 def executor_mode() -> str:
@@ -151,6 +160,10 @@ class Context:
 class WorkGroupCtx:
     """Execution context handed to a kernel for one work-group."""
 
+    #: groups this context spans (shape-generic kernels scale per-group
+    #: counts by it, as under a :class:`BatchCtx`)
+    num_groups = 1
+
     def __init__(self, device: DeviceSpec, group_id: int, local_size: int,
                  trace: Optional[KernelTrace],
                  cache: Optional[SegmentCache] = None):
@@ -162,6 +175,17 @@ class WorkGroupCtx:
         self._trace = trace
         self._cache = cache
         self._local_bytes = 0
+
+    def sub(self, lo: int, hi: int) -> Optional["WorkGroupCtx"]:
+        """This context if its group lies in ``lo..hi-1``, else
+        ``None`` — the single-group counterpart of
+        :meth:`BatchCtx.sub`, so one region dispatcher serves both
+        engines."""
+        return self if lo <= self.group_id < hi else None
+
+    def finalize(self) -> None:
+        """Nothing is deferred for a single group (see
+        :meth:`BatchCtx.finalize`)."""
 
     # ------------------------------------------------------------------
     # global memory

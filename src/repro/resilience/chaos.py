@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ocl.device import DeviceSpec, TESLA_C2050
+from repro.ocl.executor import EXECUTOR_ENV, EXECUTOR_MODES, ORACLE_EXECUTORS
 from repro.resilience.engine import resilient_spmv
 from repro.resilience.faults import FaultInjector, FaultSpec, inject
 from repro.resilience.policy import Policy, ResilienceExhausted
@@ -272,7 +273,7 @@ def chaos_sweep(
     *,
     matrices: Optional[Sequence[int]] = None,
     format: str = "crsd",
-    executors: Sequence[str] = ("batched", "pergroup"),
+    executors: Sequence[str] = ORACLE_EXECUTORS,
     precisions: Sequence[str] = ("double", "single"),
     device: DeviceSpec = TESLA_C2050,
     mrows: int = 128,
@@ -286,7 +287,6 @@ def chaos_sweep(
     suspended and the two ``y`` arrays are compared bit-for-bit.
     """
     from repro.matrices.suite23 import SUITE
-    from repro.ocl.executor import EXECUTOR_ENV, EXECUTOR_MODES
     from repro.resilience.engine import _make_rung_runner
     from repro.gpu_kernels.base import precision_dtype
 

@@ -13,7 +13,7 @@ according to declarative :class:`FaultSpec` rules.
 Sites are strings the hooks build at each boundary::
 
     alloc:<buffer-name>      e.g. alloc:crsd_dia_val, alloc:x
-    launch:<kernel-name>     e.g. launch:dia_kernel
+    launch:<kernel-name>     e.g. launch:crsd_dia_kernel
     phase:<runner>.<phase>   e.g. phase:crsd.prepare, phase:dia.run
 
 and :class:`FaultSpec.site` is an :mod:`fnmatch` pattern over them.

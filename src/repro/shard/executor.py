@@ -177,19 +177,12 @@ class ShardedSpMV(GPUSpMV):
                 return tr
             mode = "batched"  # this shard's sub-plan declined: fall back
         kern = self.kernels[i]
-        if mode == "batched":
-            do_launch = launch_batched
-            dia_kernel = kern.dia_kernel_batched
-            scatter_kernel = kern.scatter_kernel_batched
-        else:
-            do_launch = launch
-            dia_kernel = kern.dia_kernel
-            scatter_kernel = kern.scatter_kernel
+        do_launch = launch_batched if mode == "batched" else launch
         # the shard's private L2: shared by its dia and scatter
         # launches, fresh for the next shard
         cache = make_launch_cache(self.device, trace)
         tr = do_launch(
-            dia_kernel,
+            kern.dia_kernel,
             subplan.num_groups,
             subplan.local_size,
             (self._dia_val, xbuf, ybuf),
@@ -197,11 +190,11 @@ class ShardedSpMV(GPUSpMV):
             trace,
             cache,
         )
-        if scatter_kernel is not None and subplan.scatter.num_rows:
+        if kern.scatter_kernel is not None and subplan.scatter.num_rows:
             scol, sval, srow = self._shard_scatter[i]
             groups = -(-subplan.scatter.num_rows // subplan.local_size)
             tr2 = do_launch(
-                scatter_kernel,
+                kern.scatter_kernel,
                 groups,
                 subplan.local_size,
                 (scol, sval, srow, xbuf, ybuf),

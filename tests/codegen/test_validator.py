@@ -136,7 +136,10 @@ class TestValidatePythonSource:
 
     def test_emitted_kernel_inventory(self, rng):
         from repro.codegen.plan import build_plan
-        from repro.codegen.python_codelet import emit_python_source
+        from repro.codegen.python_codelet import (
+            emit_python_source,
+            expected_functions,
+        )
         from repro.core.crsd import CRSDMatrix, compatible_wavefront
         from tests.conftest import random_diagonal_matrix
 
@@ -144,6 +147,8 @@ class TestValidatePythonSource:
         crsd = CRSDMatrix.from_coo(coo, mrows=16, wavefront_size=compatible_wavefront(16))
         plan = build_plan(crsd)
         names = validate_python_source(emit_python_source(plan))
+        # one shape-generic function per kernel, no per-engine copies
+        assert sorted(names) == sorted(expected_functions(plan))
         assert "crsd_dia_kernel" in names
-        assert "crsd_dia_kernel_batched" in names
+        assert "crsd_scatter_kernel" in names
         assert "_codelet_p0" in names
