@@ -219,9 +219,9 @@ def build_model(
     isize = _REAL_ITEMSIZE.get(precision.lower())
     if isize is None:
         raise ValueError(f"unknown precision {precision!r}")
-    slab_slots = sum(r.nrs * r.nnz_per_segment for r in plan.regions)
     sizes = {
-        SLAB_BUFFERS[plan.kind]: slab_slots,
+        # the real uploaded slab: a shard sub-plan reads its parent's
+        SLAB_BUFFERS[plan.kind]: plan.slab_extent,
         "x": plan.ncols * plan.nvec,
         "y": plan.nrows * plan.nvec,
         "scatter_colval": plan.scatter.num_rows * plan.scatter.width,

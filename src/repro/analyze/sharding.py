@@ -65,6 +65,7 @@ from repro.codegen.plan import (
     ScatterPlan,
     build_plan,
 )
+from repro.codegen.python_codelet import generate_python_kernel
 from repro.ocl.device import DeviceSpec, TESLA_C2050
 from repro.ocl.trace import KernelTrace
 
@@ -116,7 +117,10 @@ def build_shard_subplan(plan: KernelPlan, row_start: int, row_end: int,
     / ``x`` / ``y`` buffers and compute bit-identically to the
     corresponding groups of the unsharded launch.  Only the scatter
     side structure is re-packed per shard (rows
-    ``[scatter_start, scatter_end)`` of the sorted ELL arrays).
+    ``[scatter_start, scatter_end)`` of the sorted ELL arrays).  The
+    sub-plan's ``slab_slots`` is the parent's slab extent, so the
+    bounds prover checks its absolute slab reads against the buffer
+    actually uploaded.
     """
     regions: List[RegionPlan] = []
     gid_base = 0
@@ -152,6 +156,7 @@ def build_shard_subplan(plan: KernelPlan, row_start: int, row_end: int,
                             width=plan.scatter.width),
         use_local_memory=plan.use_local_memory,
         nvec=plan.nvec,
+        slab_slots=plan.slab_extent,
     )
 
 
@@ -173,6 +178,17 @@ class ShardCertificate:
                                  + halo re-read (load transactions)
 
     is auditable from the certificate alone.
+
+    Everything a runner needs besides the matrix values is pattern-pure
+    and lives here too, built once per certificate and shared by every
+    runner (and, through the cluster's shared store, every device)
+    that activates it: ``fused_states[i]`` is shard ``i``'s
+    :class:`~repro.gpu_kernels.fused.FusedState` (``None`` when the
+    fused provers decline that sub-plan or the shard is empty), and
+    :meth:`codelets` compiles each sub-plan's codelets on first use.
+    A fused decline does not un-certify the shard plan — the shard
+    runs on the batched engine — so it stays out of ``findings``,
+    ``reasons`` and :meth:`to_dict`.
     """
 
     ok: bool
@@ -190,6 +206,20 @@ class ShardCertificate:
     #: extra DRAM load transactions of per-shard private L2s vs one
     #: shared cache (signed, exact); None when not certified
     halo_reread_transactions: Optional[int] = None
+    #: per-shard fused execution states (certified plans; see above)
+    fused_states: Tuple[object, ...] = field(default=(), compare=False,
+                                             repr=False)
+    _codelets: Dict[int, object] = field(default_factory=dict, init=False,
+                                         compare=False, repr=False)
+
+    def codelets(self, index: int):
+        """Shard ``index``'s compiled sub-plan codelets (generated on
+        first use, then shared by every runner of this certificate)."""
+        kern = self._codelets.get(index)
+        if kern is None:
+            kern = generate_python_kernel(self.subplans[index])
+            self._codelets[index] = kern
+        return kern
 
     @property
     def reasons(self) -> Tuple[str, ...]:
@@ -236,8 +266,11 @@ def certify_shard_plan(
     ``matrix`` must be a :class:`~repro.core.crsd.CRSDMatrix` — the
     DIA/ELL/HYB rungs of the degradation ladder have no symbolic access
     model, so their plans are declined cleanly with the halo prover
-    named.  Never raises for an unprovable plan; a prover crash
-    propagates (callers file an incident for that case).
+    named.  A certified plan also runs the fused engine's provers over
+    each shard's sub-plan model (see
+    :attr:`ShardCertificate.fused_states`).  Never raises for an
+    unprovable plan; a prover crash — shard or fused — propagates
+    (callers file an incident for that case).
     """
     from repro.core.crsd import CRSDMatrix
 
@@ -283,7 +316,35 @@ def certify_shard_plan(
         cert.per_shard_traces = ()
         cert.whole_trace = None
         cert.halo_reread_transactions = None
+        return cert
+    cert.fused_states = _fused_states(matrix, shard_plan, submodels,
+                                      cert.per_shard_traces, device)
     return cert
+
+
+def _fused_states(matrix, shard_plan, submodels: Sequence[KernelModel],
+                  traces: Sequence[KernelTrace], device: DeviceSpec):
+    """Shard by shard: the fused provers over the sub-plan model the
+    shard provers already built, and the fused state on the
+    L2-synthesized trace they already replayed (``None`` for an empty
+    or declined shard)."""
+    from repro.gpu_kernels.fused import FusedKernel, FusedState, certify_model
+
+    states = []
+    for spec, model, trace in zip(shard_plan.shards, submodels, traces):
+        sp = model.plan
+        fused = (certify_model(model, device)
+                 if sp.num_groups or sp.scatter.num_rows else None)
+        if fused is None or not fused.ok:
+            states.append(None)
+            continue
+        lo, hi = spec.scatter_start, spec.scatter_end
+        kernel = FusedKernel(sp,
+                             scatter_colval=matrix.scatter_colval[lo:hi],
+                             scatter_rowno=matrix.scatter_rowno[lo:hi])
+        states.append(FusedState(certificate=fused, kernel=kernel,
+                                 trace=trace))
+    return tuple(states)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ slots per segment (NNzRS), the start row (SR), the diagonal count
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.crsd import CRSDMatrix
 
@@ -107,6 +107,12 @@ class KernelPlan:
     the blocked-Krylov use case.  SpMM codelets use direct x loads
     (no AD tile): with ``nvec`` columns in flight the L2 already holds
     the shared window and per-column tiles would exhaust local memory.
+
+    ``slab_slots`` is the slot count of the value slab the codelets
+    address.  ``None`` means the plan's own regions fill it (every
+    full plan); a shard sub-plan keeps the *parent's* count, because
+    its ``slab_base`` constants stay absolute into the parent slab
+    (see :func:`~repro.analyze.sharding.build_shard_subplan`).
     """
 
     nrows: int
@@ -116,6 +122,7 @@ class KernelPlan:
     scatter: ScatterPlan
     use_local_memory: bool
     nvec: int = 1
+    slab_slots: Optional[int] = None
 
     @property
     def kind(self) -> str:
@@ -132,6 +139,14 @@ class KernelPlan:
     @property
     def local_size(self) -> int:
         return self.mrows
+
+    @property
+    def slab_extent(self) -> int:
+        """Slots of the uploaded value slab (``slab_slots``, or the sum
+        of the plan's own region slabs for a full plan)."""
+        if self.slab_slots is not None:
+            return self.slab_slots
+        return sum(r.nrs * r.nnz_per_segment for r in self.regions)
 
     @property
     def max_tile_len(self) -> int:

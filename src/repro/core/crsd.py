@@ -104,6 +104,15 @@ class CRSDMatrix(SparseFormat):
     Build with :meth:`from_coo` / :meth:`from_dense`; direct
     construction from pre-computed arrays is supported for tests and
     deserialization.
+
+    The value and scatter arrays (``dia_val``, ``scatter_rowno``,
+    ``scatter_colval``, ``scatter_val``, ``scatter_occupancy``) are
+    read-only — an in-place write raises ``ValueError`` — because one
+    build is shared by every plan cache that serves the matrix (a
+    cluster's devices adopt each other's builds).  The constructor
+    copies any array it is handed that is writable or a view, so it
+    never aliases a caller's writable buffer; :func:`copy.deepcopy` and
+    pickle round-trips come back read-only too.
     """
 
     name = "crsd"
@@ -124,11 +133,11 @@ class CRSDMatrix(SparseFormat):
         super().__init__(shape)
         self.params = params
         self.regions = tuple(regions)
-        self.dia_val = np.asarray(dia_val, dtype=VALUE_DTYPE)
-        self.scatter_rowno = np.asarray(scatter_rowno, dtype=INDEX_DTYPE)
-        self.scatter_colval = np.asarray(scatter_colval, dtype=INDEX_DTYPE)
-        self.scatter_val = np.asarray(scatter_val, dtype=VALUE_DTYPE)
-        self.scatter_occupancy = np.asarray(scatter_occupancy, dtype=bool)
+        self.dia_val = _frozen(dia_val, VALUE_DTYPE)
+        self.scatter_rowno = _frozen(scatter_rowno, INDEX_DTYPE)
+        self.scatter_colval = _frozen(scatter_colval, INDEX_DTYPE)
+        self.scatter_val = _frozen(scatter_val, VALUE_DTYPE)
+        self.scatter_occupancy = _frozen(scatter_occupancy, bool)
         self._nnz = int(nnz)
         self.analysis = analysis
 
@@ -151,6 +160,11 @@ class CRSDMatrix(SparseFormat):
         bases = np.zeros(len(self.regions) + 1, dtype=np.int64)
         np.cumsum([r.stored_slots for r in self.regions], out=bases[1:])
         self._region_bases = bases
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for name in _FROZEN_ARRAYS:
+            getattr(self, name).flags.writeable = False
 
     # ------------------------------------------------------------------
     # construction
@@ -176,6 +190,9 @@ class CRSDMatrix(SparseFormat):
         )
         dia_val = _fill_slab(coo, analysis)
         rowno, colval, val, occ = _build_scatter_ell(coo, analysis.scatter_rows)
+        # fresh arrays, handed over read-only: adopted without a copy
+        for arr in (dia_val, rowno, colval, val, occ):
+            arr.flags.writeable = False
         return cls(
             shape=coo.shape,
             params=params,
@@ -470,6 +487,22 @@ def _fill_slab(coo: COOMatrix, analysis: StructureAnalysis) -> np.ndarray:
                 slab[pos] = vals[r_lo:r_hi]
         base += region.stored_slots
     return slab
+
+
+#: the carrier's read-only arrays (re-frozen after unpickling)
+_FROZEN_ARRAYS = ("dia_val", "scatter_rowno", "scatter_colval",
+                  "scatter_val", "scatter_occupancy")
+
+
+def _frozen(given, dtype) -> np.ndarray:
+    """``given`` as a read-only ``dtype`` array that owns its data: a
+    read-only owning array is adopted, a fresh conversion is frozen in
+    place, and a view or the caller's writable array is copied first."""
+    arr = np.asarray(given, dtype=dtype)
+    if not arr.flags.owndata or (arr is given and arr.flags.writeable):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def _build_scatter_ell(

@@ -90,7 +90,9 @@ class CrsdSpMV(GPUSpMV):
         The plan, the compiled codelets and — when device and precision
         also match — the fused certificate/kernel/trace are pure
         functions of the sparsity pattern, so they are adopted instead
-        of rebuilt; only the value buffers are per matrix.
+        of rebuilt; only the value buffers are per matrix.  The fused
+        state is shared, not copied: whichever runner of the chain
+        first runs fused builds it for all of them.
     """
 
     name = "crsd"
@@ -205,8 +207,12 @@ class CrsdSpMV(GPUSpMV):
     # fused engine
     # ------------------------------------------------------------------
     def _init_fused(self, template) -> None:
-        self._fused_template = template
-        self._fused_state_obj = None   # None = not built, False = declined
+        # one slot per same-pattern runner chain on one device and
+        # precision: the first fused run builds it for every adopter
+        share = (template is not None
+                 and template.precision == self.precision
+                 and template.device == self.device)
+        self._fused_slot = template._fused_slot if share else _FusedSlot()
         self._fused_demoted = False
         self._fused_verified = False
         self._fused_incident_pending = None
@@ -230,20 +236,22 @@ class CrsdSpMV(GPUSpMV):
                 and template.matrix.dia_val.size == m.dia_val.size)
 
     def _fused_state(self):
-        """The runner's fused execution state, built (or adopted from
-        the template) on first use; ``None`` when declined/demoted."""
+        """The runner's fused execution state, built on the first fused
+        run of any runner sharing its slot; ``None`` when
+        declined/demoted."""
         if self._fused_demoted:
             return None
-        if self._fused_state_obj is None:
-            self._fused_state_obj = self._build_fused_state()
-        return self._fused_state_obj or None
+        slot = self._fused_slot
+        if slot.state is None:
+            state = self._build_fused_state()
+            if self._fused_demoted:
+                # a crashed prover demotes this runner only; the slot
+                # stays unbuilt for the rest of the chain
+                return None
+            slot.state = state
+        return slot.state or None
 
     def _build_fused_state(self):
-        tpl = self._fused_template
-        if (tpl is not None and tpl._fused_state_obj is not None
-                and tpl.precision == self.precision
-                and tpl.device == self.device):
-            return tpl._fused_state_obj
         try:
             if _flt.ACTIVE is not None:
                 _flt.ACTIVE.on_phase(f"{self.name}.fused_certify")
@@ -352,6 +360,16 @@ class CrsdSpMV(GPUSpMV):
                              trace=_minimal_trace(oracle.trace),
                              resilience=oracle.resilience)
         return oracle
+
+
+class _FusedSlot:
+    """The fused state a same-pattern runner chain shares: ``None`` =
+    not built yet, ``False`` = declined by the provers."""
+
+    __slots__ = ("state",)
+
+    def __init__(self):
+        self.state = None
 
 
 def _minimal_trace(full):

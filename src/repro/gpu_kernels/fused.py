@@ -36,7 +36,12 @@ derivation and serve's ``predict_gpu_time`` accounting are unchanged.
 
 Only full CRSD plans are fused: :class:`FusedKernel` has no lowering
 for the transpose terms of a symmetric (``kind="SYM"``) plan, so
-:func:`certify_plan` declines those by name.
+:func:`certify_plan` declines those by name.  Certified shard sub-plans
+fuse too: :func:`~repro.analyze.sharding.certify_shard_plan` runs
+:func:`certify_model` on each sub-plan model, whose ``slab_base``
+constants stay absolute into the *parent's* slab (the model bounds them
+by that slab, ``KernelPlan.slab_slots``), so the shard's fused kernel
+reads the full uploaded ``dia_val`` exactly as its codelets would.
 
 :class:`FusedKernel` is deliberately **value-free**: it bakes only the
 plan and the scatter *index* arrays (pattern data) and takes the value
@@ -63,7 +68,8 @@ from repro.ocl.device import DeviceSpec
 from repro.ocl.trace import KernelTrace
 
 __all__ = ["FusedCertificate", "FusedKernel", "FusedState",
-           "certify_plan", "build_fused_state", "synthesize_trace"]
+           "certify_model", "certify_plan", "build_fused_state",
+           "synthesize_trace"]
 
 #: kernel-name the fused engine reports to obs spans and fault hooks
 FUSED_KERNEL_NAME = "crsd_fused_kernel"
@@ -97,13 +103,22 @@ def certify_plan(
     returns ``ok=False`` with the reasons — but a prover crash
     propagates (the runner files an incident for that case).
     """
+    return certify_model(build_model(plan, precision=precision,
+                                     scatter_colval=scatter_colval,
+                                     scatter_rowno=scatter_rowno),
+                         device)
+
+
+def certify_model(model: KernelModel,
+                  device: DeviceSpec) -> FusedCertificate:
+    """:func:`certify_plan` over an already-built model (shard
+    certification runs it on the sub-plan models its own provers
+    built, instead of rebuilding them)."""
+    plan = model.plan
     if plan.kind != "CRSD":
         return FusedCertificate(ok=False, reasons=(
             f"no fused {plan.kind} kernel: FusedKernel lowers only the "
             "forward terms of full CRSD plans",))
-    model = build_model(plan, precision=precision,
-                        scatter_colval=scatter_colval,
-                        scatter_rowno=scatter_rowno)
     report = AnalysisReport(plan=plan)
     check_bounds(model, report)
     check_localmem(model, report, device)

@@ -152,17 +152,20 @@ class ProfileSession:
 
     def record_kernel(self, name: str, *, work_groups: int,
                       local_size: int, executor: str, wall_s: float,
-                      trace=None) -> Span:
+                      trace=None, **extra) -> Span:
         """Record one finished kernel launch as a closed span.
 
         ``trace`` is the launch's :class:`~repro.ocl.trace.KernelTrace`
         (or ``None`` when tracing was off); its counters are *copied*
         into the span attributes — the trace itself is never mutated.
+        ``extra`` attributes (e.g. a sharded launch's ``shard``) are
+        recorded as given.
         """
         attrs: Dict[str, Any] = {
             "work_groups": int(work_groups),
             "local_size": int(local_size),
             "executor": executor,
+            **extra,
         }
         if trace is not None:
             import dataclasses

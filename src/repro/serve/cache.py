@@ -18,11 +18,19 @@ Hit/miss/eviction counters live in :class:`CacheStats` and are also
 emitted as :mod:`repro.obs` events (category ``serve``) when a profile
 session is active, so serving runs show cache behaviour in the same
 reports as kernel launches.
+
+Below every cache sits a :class:`ShardCertificateStore` of
+pattern-pure artifacts — private by default, shared by all devices of
+a cluster — so cold preparation happens once per process per pattern:
+a miss that this cache cannot serve from its own entries adopts
+another cache's same-pattern runner (plan, codelets, fused state) or
+CRSD build of the same matrix before building anything.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
@@ -77,7 +85,7 @@ _CACHE_TOKENS = itertools.count()
 
 
 class ShardCertificateStore:
-    """Shared, read-only-after-insert map of shard certificates.
+    """Shared store of pattern-pure preparation artifacts.
 
     Certification is pure in the *pattern*: the provers never read
     matrix values, so a certificate proven once is valid for every
@@ -87,13 +95,31 @@ class ShardCertificateStore:
     plan publishes it; later caches (usually other devices) get a hit
     and count it as cross-device reuse.  Entries are never mutated
     after insert; only a cache that privately owns its store may
-    :meth:`prune` orphans on eviction.
+    :meth:`prune` orphans on eviction.  A certificate carries its
+    shards' compiled codelets and fused states, so those are built
+    once cluster-wide too.
+
+    The store also holds *weak* references to the caches' prepared
+    runners (by pattern fingerprint and runner configuration) and CRSD
+    builds (by combined fingerprint and ``mrows``).  A cache whose own
+    lookups miss adopts them instead of rebuilding (:meth:`donor`,
+    :meth:`crsd`); an artifact lives only while some cache still holds
+    it, so the store never keeps alive what every cache evicted.
+    Adoptions are counted here (:attr:`donor_adoptions`,
+    :attr:`crsd_adoptions`), never in a cache's :class:`CacheStats`.
     """
 
     def __init__(self):
         #: key -> (certificate, token of the cache that proved it)
         self._certs: Dict[Tuple, Tuple[Any, int]] = {}
         self.cross_device_reuses = 0
+        #: (pattern fp, runner key) -> a cache's prepared runner
+        self._donors = weakref.WeakValueDictionary()
+        #: (combined fp, mrows) -> a cache's CRSD build
+        self._crsds = weakref.WeakValueDictionary()
+        #: cache misses served by an adopted runner / CRSD build
+        self.donor_adoptions = 0
+        self.crsd_adoptions = 0
 
     def __len__(self) -> int:
         return len(self._certs)
@@ -115,6 +141,31 @@ class ShardCertificateStore:
         is read-only after insert)."""
         self._certs.setdefault(key, (cert, token))
 
+    def donor(self, key: Tuple):
+        """A live runner some cache prepared under ``key`` — (pattern
+        fingerprint, runner configuration) — counted as an adoption,
+        or ``None``."""
+        runner = self._donors.get(key)
+        if runner is not None:
+            self.donor_adoptions += 1
+        return runner
+
+    def put_donor(self, key: Tuple, runner) -> None:
+        """Offer ``runner`` to same-pattern misses (weakly held)."""
+        self._donors.setdefault(key, runner)
+
+    def crsd(self, key: Tuple):
+        """A live CRSD build under ``key`` — (combined fingerprint,
+        ``mrows``) — counted as an adoption, or ``None``."""
+        crsd = self._crsds.get(key)
+        if crsd is not None:
+            self.crsd_adoptions += 1
+        return crsd
+
+    def put_crsd(self, key: Tuple, crsd) -> None:
+        """Offer ``crsd`` to same-matrix misses (weakly held)."""
+        self._crsds.setdefault(key, crsd)
+
     def prune(self, live_patterns: Iterable[str]) -> None:
         """Drop certificates whose pattern is not in ``live_patterns``
         (private per-cache stores only — shared stores are never
@@ -124,8 +175,10 @@ class ShardCertificateStore:
                        if k[0] in live}
 
     def clear(self) -> None:
-        """Drop every certificate (private-store reset)."""
+        """Drop every artifact (private-store reset)."""
         self._certs.clear()
+        self._donors.clear()
+        self._crsds.clear()
 
     def to_dict(self) -> Dict[str, Any]:
         """Residency and reuse counters as a JSON-safe dict."""
@@ -301,7 +354,6 @@ class PlanCache:
     ):
         """:meth:`runner` for an already-resolved entry (the serving
         engine's hot path — no re-fingerprinting per launch)."""
-        from repro.core.crsd import CRSDMatrix, compatible_wavefront
         from repro.gpu_kernels.crsd_runner import CrsdSpMM, CrsdSpMV
 
         key = (device, precision, bool(use_local_memory),
@@ -311,18 +363,17 @@ class PlanCache:
             self._hit("runner", entry.fingerprint, nvec=nvec)
             return runner
         self._miss("runner", entry.fingerprint, nvec=nvec)
-        crsd = entry._crsd.get(int(mrows))
-        if crsd is None:
-            crsd = CRSDMatrix.from_coo(
-                entry.coo, mrows=mrows,
-                wavefront_size=compatible_wavefront(mrows))
-            entry._crsd[int(mrows)] = crsd
+        crsd = self._crsd_for(entry, mrows)
         # same-pattern donor: a matrix with the identical sparsity
         # structure but different values already prepared this runner
-        # configuration — adopt its plan, codelets and fused state
+        # configuration — adopt its plan, codelets and fused state;
+        # this cache's own donors first, then any cache's (the store)
         pkey = (entry.pattern_fingerprint, key)
-        template = (self._pattern_runners.get(pkey)
-                    if entry.pattern_fingerprint is not None else None)
+        template = own = None
+        if entry.pattern_fingerprint is not None:
+            template = own = self._pattern_runners.get(pkey)
+            if own is None:
+                template = self.cert_store.donor(pkey)
         if nvec is None:
             runner = CrsdSpMV(crsd, device=device, precision=precision,
                               use_local_memory=use_local_memory,
@@ -330,15 +381,20 @@ class PlanCache:
         else:
             runner = CrsdSpMM(crsd, nvec=int(nvec), device=device,
                               precision=precision, template=template)
-        if template is not None:
+        if own is not None:
             self.stats.pattern_reuses += 1
             self._event("plan_cache.pattern_reuse",
+                        fingerprint=entry.fingerprint,
+                        pattern=entry.pattern_fingerprint, nvec=nvec)
+        elif template is not None:
+            self._event("plan_cache.store_adopt.runner",
                         fingerprint=entry.fingerprint,
                         pattern=entry.pattern_fingerprint, nvec=nvec)
         runner.prepare()
         entry._runners[key] = runner
         if entry.pattern_fingerprint is not None:
             self._pattern_runners[pkey] = runner
+            self.cert_store.put_donor(pkey, runner)
         return runner
 
     def shard_certificate(
@@ -462,15 +518,26 @@ class PlanCache:
         return runner
 
     def _crsd_for(self, entry: PlanEntry, mrows: int):
-        """The (possibly new) CRSD build of ``entry`` for ``mrows``."""
+        """The (possibly new) CRSD build of ``entry`` for ``mrows``:
+        the entry's own, else another cache's build of the same matrix
+        (the store), else a fresh one."""
         from repro.core.crsd import CRSDMatrix, compatible_wavefront
 
-        crsd = entry._crsd.get(int(mrows))
+        mrows = int(mrows)
+        crsd = entry._crsd.get(mrows)
+        if crsd is not None:
+            return crsd
+        skey = (entry.fingerprint, mrows)
+        crsd = self.cert_store.crsd(skey)
         if crsd is None:
             crsd = CRSDMatrix.from_coo(
                 entry.coo, mrows=mrows,
                 wavefront_size=compatible_wavefront(mrows))
-            entry._crsd[int(mrows)] = crsd
+            self.cert_store.put_crsd(skey, crsd)
+        else:
+            self._event("plan_cache.store_adopt.crsd",
+                        fingerprint=entry.fingerprint, mrows=mrows)
+        entry._crsd[mrows] = crsd
         return crsd
 
     def tune(self, matrix, **kwargs):

@@ -19,19 +19,28 @@ Each shard's dia and scatter launches share one private L2
 :class:`~repro.ocl.memory.SegmentCache` — the exact cache topology the
 certificate's per-shard trace predictions replay, so executed traced
 counters match ``certificate.per_shard_traces`` counter for counter.
+
+The runner builds nothing pattern-pure itself: the compiled sub-plan
+codelets (:meth:`ShardCertificate.codelets`) and the per-shard fused
+states (:attr:`ShardCertificate.fused_states`) come from the
+certificate, so every runner — on every cluster device — activating
+one certificate shares them.  Under ``REPRO_EXECUTOR=fused`` a shard
+whose sub-plan the fused provers certified runs as one
+``crsd_fused_kernel`` launch (absolute addressing into the full
+``dia_val``, recorded to obs per shard); a declined shard runs batched.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.analyze.sharding import ShardCertificate
-from repro.codegen.python_codelet import generate_python_kernel
 from repro.core.crsd import CRSDMatrix
 from repro.gpu_kernels.base import GPUSpMV, SpMVRun
-from repro.gpu_kernels.fused import build_fused_state
+from repro.gpu_kernels.fused import FUSED_KERNEL_NAME
+from repro.obs import recorder as _obs
 from repro.obs.recorder import maybe_span
 from repro.ocl.executor import (
     executor_mode,
@@ -40,6 +49,7 @@ from repro.ocl.executor import (
     make_launch_cache,
 )
 from repro.ocl.trace import KernelTrace
+from repro.resilience import faults as _flt
 from repro.shard.plan import ShardPlanError
 
 __all__ = ["ShardedSpMV"]
@@ -95,15 +105,13 @@ class ShardedSpMV(GPUSpMV):
                         f"{len(self.subplans)} shards")
         self.active_shards = active
         active_set = set(active)
-        # one compiled codelet set per non-empty active shard
+        # the certificate's compiled codelets, per non-empty active shard
         self.kernels = [
-            generate_python_kernel(sp)
+            certificate.codelets(i)
             if (i in active_set and (sp.num_groups or sp.scatter.num_rows))
             else None
             for i, sp in enumerate(self.subplans)
         ]
-        # per-shard fused state: None = not built, False = declined
-        self._fused_states: List[object] = [None] * len(self.subplans)
 
     @property
     def nrows(self) -> int:
@@ -206,27 +214,30 @@ class ShardedSpMV(GPUSpMV):
         return tr
 
     # ------------------------------------------------------------------
-    def _shard_fused_state(self, i: int, spec):
-        state = self._fused_states[i]
-        if state is None:
-            lo, hi = spec.scatter_start, spec.scatter_end
-            try:
-                state, _cert = build_fused_state(
-                    self.subplans[i], self.device, self.precision,
-                    scatter_colval=self.matrix.scatter_colval[lo:hi],
-                    scatter_rowno=self.matrix.scatter_rowno[lo:hi])
-            except Exception:
-                state = None  # crash counts as a decline for this shard
-            self._fused_states[i] = state if state is not None else False
-        return self._fused_states[i] or None
-
     def _execute_shard_fused(self, i: int, spec, xbuf, ybuf,
                              trace: bool) -> Optional[KernelTrace]:
-        state = self._shard_fused_state(i, spec)
+        """Shard ``i`` as one fused launch, or ``None`` when its
+        sub-plan was declined by the fused provers."""
+        states = self.certificate.fused_states
+        state = states[i] if i < len(states) else None
         if state is None:
             return None
         scatter = self._shard_scatter[i]
         sval = (scatter[1].data if scatter is not None
                 else np.empty(0, dtype=self.dtype))
+        sess = _obs.ACTIVE
+        t0 = _obs.perf_counter() if sess is not None else 0.0
+        if _flt.ACTIVE is not None:
+            _flt.ACTIVE.on_launch(FUSED_KERNEL_NAME)
         state.kernel(self._dia_val.data, sval, xbuf.data, ybuf.data)
-        return state.run_trace(trace)
+        if _flt.ACTIVE is not None:
+            _flt.ACTIVE.on_launch_exit(FUSED_KERNEL_NAME,
+                                       (self._dia_val, xbuf, ybuf))
+        tr = state.run_trace(trace)
+        if sess is not None:
+            sess.record_kernel(
+                FUSED_KERNEL_NAME, work_groups=state.work_groups,
+                local_size=self.subplans[i].local_size, executor="fused",
+                wall_s=_obs.perf_counter() - t0,
+                trace=tr if trace else None, shard=spec.index)
+        return tr

@@ -73,6 +73,67 @@ class TestConstruction:
             )
 
 
+class TestFrozen:
+    """One CRSD build backs every plan cache serving the matrix, so its
+    value and scatter arrays are read-only."""
+
+    ARRAYS = ("dia_val", "scatter_rowno", "scatter_colval", "scatter_val",
+              "scatter_occupancy")
+
+    @pytest.fixture
+    def crsd(self, rng):
+        m = CRSDMatrix.from_coo(random_diagonal_matrix(rng, n=96, scatter=3),
+                                mrows=32)
+        assert m.num_scatter_rows and m.dia_val.size
+        return m
+
+    def assert_frozen(self, m):
+        for name in self.ARRAYS:
+            arr = getattr(m, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr.reshape(-1)[0] = arr.reshape(-1)[0]
+
+    def test_in_place_writes_raise(self, crsd):
+        self.assert_frozen(crsd)
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copies_come_back_frozen(self, crsd, how):
+        import copy
+        import pickle
+
+        clone = (copy.deepcopy(crsd) if how == "deepcopy"
+                 else pickle.loads(pickle.dumps(crsd)))
+        self.assert_frozen(clone)
+        assert np.array_equal(clone.dia_val, crsd.dia_val)
+        assert np.array_equal(clone.scatter_val, crsd.scatter_val)
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_never_aliases_a_callers_buffer(self, crsd, view):
+        given = {name: np.array(getattr(crsd, name)) for name in self.ARRAYS}
+        handed = dict(given)
+        if view:  # read-only views of the caller's writable buffers
+            for name, arr in given.items():
+                handed[name] = arr.view()
+                handed[name].flags.writeable = False
+        m = CRSDMatrix(crsd.shape, crsd.params, crsd.regions,
+                       handed["dia_val"], handed["scatter_rowno"],
+                       handed["scatter_colval"], handed["scatter_val"],
+                       handed["scatter_occupancy"], crsd.nnz)
+        self.assert_frozen(m)
+        for name, arr in given.items():
+            assert arr.flags.writeable, name
+            assert not np.shares_memory(arr, getattr(m, name)), name
+
+    def test_from_coo_adopts_its_fresh_arrays(self, crsd):
+        """Frozen arrays handed over are adopted, not copied."""
+        m = CRSDMatrix(crsd.shape, crsd.params, crsd.regions, crsd.dia_val,
+                       crsd.scatter_rowno, crsd.scatter_colval,
+                       crsd.scatter_val, crsd.scatter_occupancy, crsd.nnz)
+        for name in self.ARRAYS:
+            assert getattr(m, name) is getattr(crsd, name), name
+
+
 class TestMatvec:
     def test_fig2(self, fig2_coo, fig2_dense, rng):
         m = CRSDMatrix.from_coo(fig2_coo, mrows=2, wavefront_size=2, idle_fill_max_rows=1)

@@ -7,10 +7,12 @@ prover — never pass silently-wrong plans.  These tests pin both sides,
 plus the conservation arithmetic the certificate carries.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.analyze import AnalysisReport, build_model, check_bounds
 from repro.analyze.report import CHECKS
 from repro.analyze.sharding import (
     INVARIANT_COUNTERS,
@@ -174,6 +176,34 @@ class TestSubplans:
         sub = build_shard_subplan(whole, spec.row_start, spec.row_end,
                                   spec.scatter_start, spec.scatter_end)
         assert all(r.start_row >= spec.row_start for r in sub.regions)
+
+    def test_subplans_bounded_by_the_parent_slab(self, crsd, coo):
+        """A sub-plan keeps absolute ``slab_base`` addressing into the
+        parent's slab; the bounds prover checks it against that slab,
+        so later shards are clean and a read one slot past the parent's
+        slab is still caught (fault injection)."""
+        whole = build_plan(crsd)
+        plan = ShardPlanner(crsd, coo=coo).plan(4)
+        subs = [build_shard_subplan(whole, s.row_start, s.row_end,
+                                    s.scatter_start, s.scatter_end)
+                for s in plan.shards]
+        assert any(r.slab_base > 0 for r in subs[-1].regions)
+        for sp in subs:
+            assert sp.slab_extent == whole.slab_extent
+            report = AnalysisReport(plan=sp)
+            check_bounds(build_model(sp), report)
+            assert report.ok, [str(f) for f in report.violations]
+        sp = subs[-1]
+        last = sp.regions[-1]
+        past = dataclasses.replace(
+            last, slab_base=(whole.slab_extent + 1
+                             - last.nrs * last.nnz_per_segment))
+        bad = dataclasses.replace(sp, regions=sp.regions[:-1] + (past,))
+        report = AnalysisReport(plan=bad)
+        check_bounds(build_model(bad), report)
+        msgs = [f.message for f in report.violations if f.check == "bounds"]
+        assert any(f"escapes dia_val[0, {whole.slab_extent})" in m
+                   for m in msgs), msgs
 
 
 class TestSerialisation:

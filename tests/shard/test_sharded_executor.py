@@ -95,6 +95,68 @@ class TestExecutorModes:
             assert getattr(a.trace, counter) == getattr(b.trace, counter)
 
 
+class TestFusedShards:
+    """Certified shards fuse: later shards address the parent slab at a
+    nonzero ``slab_base`` and the fused provers bound them by that
+    slab, so no shard falls back to the batched engine."""
+
+    def _case(self, rng):
+        coo = random_diagonal_matrix(rng, n=200, density=0.7, scatter=4)
+        crsd = CRSDMatrix.from_coo(coo, mrows=32)
+        return coo, crsd, certified(crsd, 4, coo=coo)
+
+    def test_every_nonempty_shard_runs_fused(self, rng, monkeypatch):
+        import repro.shard.executor as executor
+
+        coo, crsd, cert = self._case(rng)
+        x = rng.standard_normal(200)
+        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        whole = CrsdSpMV(crsd).run(x)
+        batched = ShardedSpMV(crsd, cert).run(x)
+        nonempty = [i for i, sp in enumerate(cert.subplans)
+                    if sp.num_groups or sp.scatter.num_rows]
+        assert len(nonempty) == 4
+        assert any(r.slab_base > 0
+                   for sp in cert.subplans[1:] for r in sp.regions)
+        assert all(cert.fused_states[i] is not None for i in nonempty)
+
+        launches = []
+
+        def spy(real):
+            def wrapper(kernel, *args, **kwargs):
+                launches.append(kernel)
+                return real(kernel, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(executor, "launch_batched",
+                            spy(executor.launch_batched))
+        monkeypatch.setattr(executor, "launch", spy(executor.launch))
+        monkeypatch.setenv("REPRO_EXECUTOR", "fused")
+        run = ShardedSpMV(crsd, cert).run(x)
+        assert launches == []
+        assert np.array_equal(run.y, whole.y)
+        assert_conserved(run.trace, whole.trace)
+        assert run.trace == batched.trace
+
+    def test_runners_share_the_certificates_artifacts(self, rng,
+                                                      monkeypatch):
+        """Codelets are compiled once per (certificate, shard) and every
+        runner of the certificate gets the same objects."""
+        import repro.analyze.sharding as sharding
+
+        coo, crsd, cert = self._case(rng)
+        calls = []
+        real = sharding.generate_python_kernel
+        monkeypatch.setattr(sharding, "generate_python_kernel",
+                            lambda plan: calls.append(plan) or real(plan))
+        a = ShardedSpMV(crsd, cert)
+        b = ShardedSpMV(crsd, cert, shards=(1, 2))
+        assert len(calls) == 4
+        assert b.kernels[1] is a.kernels[1]
+        assert b.kernels[2] is a.kernels[2]
+        assert b.kernels[0] is None and b.kernels[3] is None
+
+
 class TestEdgeShapes:
     def test_scatter_only_matrix(self, rng, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "batched")

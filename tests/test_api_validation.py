@@ -152,11 +152,14 @@ class TestMatrixValidation:
 
         coo, _ = problem
         crsd = CRSDMatrix.from_coo(coo, mrows=32)
-        # poison one stored slab value in place
-        for arr in crsd.array_inventory().values():
-            if arr.dtype.kind == "f" and arr.size:
-                arr.reshape(-1)[0] = np.nan
-                break
+        # poison one stored slab value (the carrier's arrays are
+        # read-only, so rebuild it around a poisoned copy of its slab)
+        dia_val = crsd.dia_val.copy()
+        dia_val[0] = np.nan
+        crsd = CRSDMatrix(crsd.shape, crsd.params, crsd.regions, dia_val,
+                          crsd.scatter_rowno, crsd.scatter_colval,
+                          crsd.scatter_val, crsd.scatter_occupancy,
+                          crsd.nnz)
         with pytest.raises(InputValidationError, match="non-finite"):
             repro.build(crsd, "crsd")
 
